@@ -34,7 +34,7 @@ from .errors import (
     WelchKitError,
 )
 from .features import binomial
-from .kernels import GramMatrix, VectorSet
+from .kernels import GramMatrix, KernelSpec, VectorSet, inner_table
 from .linalg import frobenius_norm_sq, trace
 
 # A bound "holds" when slack >= -CHECK_TOL * max(1, |rhs|).
@@ -126,23 +126,11 @@ def _require_unit_norms(vs: VectorSet, tol: float):
         )
 
 
-def _inner_table(vs: VectorSet) -> np.ndarray:
-    """Pairwise <x_i, x_j> table (conjugate-linear in the first slot)."""
-    return np.conj(vs.vectors) @ vs.vectors.T
-
-
 def coherence(vs: VectorSet) -> float:
-    """Largest off-diagonal |<x_i, x_j>|, scanned in ascending (i, j) order."""
+    """Largest off-diagonal |<x_i, x_j>|."""
     if vs.m < 2:
         raise TooFewVectorsError("coherence needs at least two vectors")
-    table = _inner_table(vs)
-    best = 0.0
-    for i in range(vs.m):
-        for j in range(i + 1, vs.m):
-            mag = abs(table[i, j])
-            if mag > best:
-                best = mag
-    return best
+    return float(np.max(np.triu(np.abs(inner_table(vs.vectors)), 1)))
 
 
 def welch_coherence_bound(m: int, n: int, p: int) -> CoherenceBound:
@@ -166,12 +154,7 @@ def welch_coherence_bound(m: int, n: int, p: int) -> CoherenceBound:
 def sum_power_lhs(vs: VectorSet, p: int) -> float:
     """Full double sum of |<x_i, x_j>|^(2p), diagonal included."""
     _require_degree(p)
-    table = _inner_table(vs)
-    total = 0.0
-    for i in range(vs.m):
-        for j in range(vs.m):
-            total += abs(table[i, j]) ** (2 * p)
-    return total
+    return float(np.sum(np.abs(inner_table(vs.vectors)) ** (2 * p)))
 
 
 def welch_sum_bound(m: int, n: int, p: int) -> float:
@@ -230,12 +213,7 @@ def generalized_report(vs: VectorSet, p: int) -> BoundReport:
 
 
 def _shifted_lhs(vs: VectorSet, p: int, c: float) -> float:
-    table = _inner_table(vs)
-    total = 0.0
-    for i in range(vs.m):
-        for j in range(vs.m):
-            total += abs(table[i, j] + c) ** (2 * p)
-    return total
+    return float(np.sum(np.abs(inner_table(vs.vectors) + c) ** (2 * p)))
 
 
 def shifted_report(vs: VectorSet, p: int, c: float) -> BoundReport:
@@ -248,10 +226,7 @@ def shifted_report(vs: VectorSet, p: int, c: float) -> BoundReport:
     m^2 (1+c)^(2p) / C(n+p, p) is recorded as rhs_unit and cross-checked
     against the general rhs.
     """
-    _require_degree(p)
-    if c < 0:
-        raise ValueError("shift c must be >= 0")
-    c = float(c)
+    c = KernelSpec.shifted(p, c).c
     lhs = _shifted_lhs(vs, p, c)
     denom = binomial(vs.n + p, p)
     norm_sq = vs.norms() ** 2
@@ -270,10 +245,7 @@ def shifted_report(vs: VectorSet, p: int, c: float) -> BoundReport:
 
 def shifted_unit_report(vs: VectorSet, p: int, c: float) -> BoundReport:
     """Unit-norm form of the shifted bound: rhs = m^2 (1+c)^(2p) / C(n+p, p)."""
-    _require_degree(p)
-    if c < 0:
-        raise ValueError("shift c must be >= 0")
-    c = float(c)
+    c = KernelSpec.shifted(p, c).c
     _require_unit_norms(vs, UNIT_NORM_TOL)
     lhs = _shifted_lhs(vs, p, c)
     denom = binomial(vs.n + p, p)

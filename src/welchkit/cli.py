@@ -93,20 +93,22 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _build_kernel(variant: str, p, c, gamma) -> KernelSpec:
-    if variant == "homogeneous":
-        if p is None:
-            raise InvalidConfigError("homogeneous kernel needs --p")
-        return KernelSpec.homogeneous(p)
-    if variant == "shifted":
-        if p is None:
-            raise InvalidConfigError("shifted kernel needs --p")
-        return KernelSpec.shifted(p, 0.0 if c is None else c)
-    if variant == "gaussian":
-        if gamma is None:
-            raise InvalidConfigError("gaussian kernel needs --gamma")
-        return KernelSpec.gaussian(gamma)
-    raise InvalidConfigError(f"unknown kernel variant {variant!r}")
+def _kernel(entry) -> KernelSpec:
+    """KernelSpec from command-line flags or from one rank-scan kernel entry.
+
+    Keys are variant, p, c and gamma; an absent key means None, except that a
+    shifted kernel's c defaults to 0.  KernelSpec validates the values.
+    """
+    if not isinstance(entry, dict):
+        raise InvalidConfigError("each kernel entry must be a JSON object")
+    unknown = set(entry) - {"variant", "p", "c", "gamma"}
+    if unknown:
+        raise InvalidConfigError(f"unknown kernel keys: {sorted(unknown)}")
+    variant = entry.get("variant")
+    c = entry.get("c")
+    if variant == "shifted" and c is None:
+        c = 0.0
+    return KernelSpec(variant, p=entry.get("p"), c=c, gamma=entry.get("gamma"))
 
 
 def cmd_gen(args) -> int:
@@ -136,7 +138,9 @@ def cmd_check(args) -> int:
     vs = read_vector_set(args.infile)
     ineq = args.inequality
     if ineq == "gram-rank":
-        spec = _build_kernel(args.kernel, args.p, args.c, args.gamma)
+        spec = _kernel(
+            {"variant": args.kernel, "p": args.p, "c": args.c, "gamma": args.gamma}
+        )
         report = gram_rank_report(gram_matrix(spec, vs))
     else:
         if args.p is None:
@@ -195,31 +199,12 @@ def _load_scan_config(path: str) -> dict:
     return doc
 
 
-def _kernel_from_dict(doc) -> KernelSpec:
-    if not isinstance(doc, dict):
-        raise InvalidConfigError("each kernel entry must be a JSON object")
-    allowed = {"variant", "p", "c", "gamma"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise InvalidConfigError(f"unknown kernel keys: {sorted(unknown)}")
-    variant = doc.get("variant")
-    if not isinstance(variant, str):
-        raise InvalidConfigError("kernel entry needs a string 'variant'")
-    c = doc.get("c")
-    return KernelSpec(
-        variant=variant,
-        p=doc.get("p"),
-        c=None if c is None else float(c),
-        gamma=doc.get("gamma"),
-    )
-
-
 def cmd_rank_scan(args) -> int:
     doc = _load_scan_config(args.config)
     kernels_raw = doc["kernels"]
     if not isinstance(kernels_raw, list):
         raise InvalidConfigError("'kernels' must be a list")
-    family = [_kernel_from_dict(entry) for entry in kernels_raw]
+    family = [_kernel(entry) for entry in kernels_raw]
     result = rank_scan(
         family,
         n=doc["n"],
@@ -245,12 +230,8 @@ def cmd_rank_scan(args) -> int:
 
 def cmd_embed_check(args) -> int:
     vs = read_vector_set(args.infile)
-    if args.p is None:
-        raise InvalidConfigError("embed-check needs --p")
-    if args.c is None:
-        spec = KernelSpec.homogeneous(args.p)
-    else:
-        spec = KernelSpec.shifted(args.p, args.c)
+    variant = "homogeneous" if args.c is None else "shifted"
+    spec = _kernel({"variant": variant, "p": args.p, "c": args.c})
     fm = feature_matrix(spec, vs)
     g = gram_matrix(spec, vs)
     err = float(np.max(np.abs(fm.reconstructed_gram() - g.matrix)))

@@ -12,12 +12,16 @@ The shifted kernel (<x, y> + c)^p is the same map applied to the augmented
 vector (x_1, ..., x_n, sqrt(c)), giving dimension C(n+p, p).
 
 phi is applied verbatim to vector entries; all conjugation comes from the
-conjugate-linear slot of the ambient inner product.
+conjugate-linear slot of the ambient inner product.  Each monomial is stored
+as its p factor indices, so the feature matrix of a whole set is one gather
+of those factors for all vectors at once followed by a product over them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,12 +63,11 @@ def multinomial(p: int, exponents) -> int:
     return coeff
 
 
-def monomial_basis(n: int, p: int, cap: int = BASIS_CAP) -> list[tuple[int, ...]]:
-    """All degree-p multi-indices over n variables, graded-lex order.
+def _monomial_factors(n: int, p: int, cap: int = BASIS_CAP) -> list[tuple[int, ...]]:
+    """Degree-p monomials over n variables, each as its p factor indices.
 
-    Within the single grade p the order is lexicographic descending:
-    (p, 0, ..., 0) first, (0, ..., 0, p) last.  Length is C(n+p-1, p);
-    exceeding `cap` raises instead of allocating.
+    Indices are non-decreasing, and the monomials come in the order of
+    monomial_basis; exceeding `cap` raises instead of allocating.
     """
     if n < 1 or p < 1:
         raise ValueError("monomial basis needs n >= 1 and p >= 1")
@@ -73,17 +76,23 @@ def monomial_basis(n: int, p: int, cap: int = BASIS_CAP) -> list[tuple[int, ...]
         raise CombinatorialOverflowError(
             f"monomial basis for n={n}, p={p} has {size} elements, cap is {cap}"
         )
-    out: list[tuple[int, ...]] = []
+    return list(itertools.combinations_with_replacement(range(n), p))
 
-    def fill(prefix: tuple[int, ...], left: int, slots: int):
-        if slots == 1:
-            out.append(prefix + (left,))
-            return
-        for a in range(left, -1, -1):
-            fill(prefix + (a,), left - a, slots - 1)
 
-    fill((), p, n)
-    return out
+def monomial_basis(n: int, p: int, cap: int = BASIS_CAP) -> list[tuple[int, ...]]:
+    """All degree-p multi-indices over n variables, graded-lex order.
+
+    Within the single grade p the order is lexicographic descending:
+    (p, 0, ..., 0) first, (0, ..., 0, p) last.  Length is C(n+p-1, p);
+    exceeding `cap` raises instead of allocating.
+    """
+    basis = []
+    for factors in _monomial_factors(n, p, cap):
+        alpha = [0] * n
+        for k in factors:
+            alpha[k] += 1
+        basis.append(tuple(alpha))
+    return basis
 
 
 def embedding_dim(spec: KernelSpec, n: int) -> int:
@@ -97,33 +106,28 @@ def embedding_dim(spec: KernelSpec, n: int) -> int:
     )
 
 
-def _weights(basis: list[tuple[int, ...]], p: int) -> np.ndarray:
-    w = np.empty(len(basis))
-    for i, alpha in enumerate(basis):
-        try:
-            w[i] = math.sqrt(multinomial(p, alpha))
-        except OverflowError as exc:
-            raise CombinatorialOverflowError(
-                f"multinomial weight for {alpha} overflows a float"
-            ) from exc
-    return w
+def _embed_rows(rows: np.ndarray, p: int) -> np.ndarray:
+    """phi of every row of an (m, n) array, as an (m, C(n+p-1, p)) array.
 
-
-def _embed(x: np.ndarray, p: int, basis: list[tuple[int, ...]], w: np.ndarray):
-    exps = np.array(basis)
-    monos = np.prod(x[np.newaxis, :] ** exps, axis=1)
-    return w * monos
+    Gathers each monomial's p factors for all rows at once: m * dim * p
+    entries of memory.
+    """
+    factors = _monomial_factors(rows.shape[1], p)
+    try:
+        w = np.array([math.sqrt(multinomial(p, Counter(f).values())) for f in factors])
+    except OverflowError as exc:
+        raise CombinatorialOverflowError(
+            f"multinomial weights for degree {p} overflow a float"
+        ) from exc
+    return w * np.prod(rows[:, np.array(factors)], axis=2)
 
 
 def embed_homogeneous(x, p: int) -> np.ndarray:
     """phi(x) with <phi(x), phi(y)> = <x, y>^p; length C(n+p-1, p)."""
-    if p < 1:
-        raise ValueError("degree p must be >= 1")
     xv = np.asarray(x, dtype=np.complex128)
     if xv.ndim != 1 or xv.shape[0] < 1:
         raise ValueError("expected a 1-D vector")
-    basis = monomial_basis(xv.shape[0], p)
-    return _embed(xv, p, basis, _weights(basis, p))
+    return _embed_rows(xv[np.newaxis, :], p)[0]
 
 
 def embed_shifted(x, p: int, c: float) -> np.ndarray:
@@ -168,21 +172,16 @@ def feature_matrix(spec: KernelSpec, vs: VectorSet) -> FeatureMatrix:
         raise UnsupportedKernelError(
             f"{spec.describe()} has no finite-dimensional exact feature map"
         )
-    p = spec.p
     if spec.variant == "shifted":
         rows = np.concatenate(
             [vs.vectors, np.full((vs.m, 1), math.sqrt(spec.c))], axis=1
         )
     else:
         rows = vs.vectors
-    basis = monomial_basis(rows.shape[1], p)
-    w = _weights(basis, p)
-    d = np.empty((len(basis), vs.m), dtype=np.complex128)
-    for i in range(vs.m):
-        d[:, i] = _embed(rows[i], p, basis, w)
+    d = _embed_rows(rows, spec.p).T
     return FeatureMatrix(
         matrix=d,
         kernel=spec,
         ambient_dim=vs.n,
-        feature_dim=len(basis),
+        feature_dim=d.shape[0],
     )

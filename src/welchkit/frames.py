@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import sum_power_lhs, welch_sum_bound
 from .errors import InvalidConfigError
-from .kernels import VectorSet
+from .kernels import VectorSet, inner_table
 
 # Step sizes below this end the line search (stationary at float precision).
 _STEP_FLOOR = 1e-18
@@ -72,7 +72,9 @@ class OptimizeResult:
             raise ValueError("optimizer iterate left the unit spheres")
 
 
-def random_unit_vectors(m: int, n: int, field: str = "complex", seed: int = 0):
+def random_unit_vectors(
+    m: int, n: int, field: str = "complex", seed: int | np.random.SeedSequence = 0
+):
     """i.i.d. Gaussian entries normalized to unit rows; Philox-seeded.
 
     Draw order is fixed (real block first, then the imaginary block for the
@@ -126,7 +128,7 @@ def frame_potential(vs: VectorSet, p: int) -> float:
 
 
 def _potential_raw(x: np.ndarray, p: int) -> float:
-    g = np.conj(x) @ x.T
+    g = inner_table(x)
     return float(np.sum(np.abs(g) ** (2 * p)))
 
 
@@ -137,7 +139,7 @@ def _gradient_raw(x: np.ndarray, p: int) -> np.ndarray:
     The finite-difference invariant in the tests is the authoritative check
     of this formula.
     """
-    g = np.conj(x) @ x.T
+    g = inner_table(x)
     w = np.abs(g) ** (2 * p - 2) * np.conj(g)
     return 4.0 * p * (w @ x)
 

@@ -2,10 +2,12 @@
 
 A ``VectorSet`` holds m vectors of C^n as the rows of an (m, n) complex128
 array.  ``KernelSpec`` names one of the supported positive-semidefinite
-kernels (homogeneous polynomial, shifted polynomial, Gaussian), and
-``gram_matrix`` evaluates the pairwise kernel table with exact Hermitian
-symmetry: only the upper triangle is computed, the lower is its conjugate
-mirror.
+kernels (homogeneous polynomial, shifted polynomial, Gaussian).
+``inner_table`` is the one place the pairwise inner products
+T[i, j] = <x_i, x_j> are computed; ``gram_matrix`` maps T elementwise
+(T**p, (T + c)**p), except for the Gaussian kernel, which uses direct
+differences x_i - x_j one row at a time.  The upper triangle is then mirrored
+into the lower one with a real diagonal, so the Gram is exactly Hermitian.
 
 Inner-product convention, used everywhere in this package: conjugate-linear
 in the FIRST argument, <x, y> = x^H y.
@@ -14,6 +16,7 @@ in the FIRST argument, <x, y> = x^H y.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +78,12 @@ class VectorSet:
         return h.hexdigest()
 
 
+def _real_parameter(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"kernel parameter {name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """One of the supported PSD kernels.
@@ -84,7 +93,7 @@ class KernelSpec:
     variant "gaussian":    k(x, y) = exp(-gamma |x-y|^2) (gamma > 0)
 
     The parameter ranges guarantee positive semidefiniteness.  Unused
-    parameters stay None.
+    parameters stay None; c and gamma must be real numbers (not bool).
     """
 
     variant: str
@@ -102,14 +111,14 @@ class KernelSpec:
                 if self.c is not None:
                     raise ValueError("homogeneous kernel takes no shift c")
             else:
-                c = float(self.c)
+                c = _real_parameter("c", self.c)
                 if not np.isfinite(c) or c < 0:
                     raise ValueError("shifted kernel needs a finite shift c >= 0")
                 object.__setattr__(self, "c", c)
         elif self.variant == "gaussian":
             if self.p is not None or self.c is not None:
                 raise ValueError("gaussian kernel takes only gamma")
-            g = float(self.gamma)
+            g = _real_parameter("gamma", self.gamma)
             if not np.isfinite(g) or g <= 0:
                 raise ValueError("gaussian kernel needs finite gamma > 0")
             object.__setattr__(self, "gamma", g)
@@ -220,15 +229,34 @@ def eval_kernel(spec: KernelSpec, x, y) -> complex:
     return complex(np.exp(-spec.gamma * np.vdot(d, d).real))
 
 
+def inner_table(x: np.ndarray) -> np.ndarray:
+    """T[i, j] = <x_i, x_j> for the rows of an (m, n) array: conj(X) X^T."""
+    return np.conj(x) @ x.T
+
+
+def _gaussian_upper(gamma: float, x: np.ndarray) -> np.ndarray:
+    """exp(-gamma |x_i - x_j|^2) for j > i, ones on the diagonal, zeros below.
+
+    Direct differences, one row at a time: expanding |x_i|^2 + |x_j|^2 -
+    2 Re T[i, j] cancels badly when the vectors are long.
+    """
+    m = x.shape[0]
+    k = np.eye(m)
+    for i in range(m - 1):
+        d = x[i + 1:] - x[i]
+        k[i, i + 1:] = np.exp(-gamma * np.sum(d.real**2 + d.imag**2, axis=1))
+    return k
+
+
 def gram_matrix(spec: KernelSpec, vs: VectorSet) -> GramMatrix:
-    """G[i, j] = k(x_i, x_j), upper triangle evaluated, lower conjugate-mirrored."""
-    m = vs.m
-    g = np.zeros((m, m), dtype=np.complex128)
-    rows = vs.vectors
-    for i in range(m):
-        g[i, i] = eval_kernel(spec, rows[i], rows[i]).real
-        for j in range(i + 1, m):
-            val = eval_kernel(spec, rows[i], rows[j])
-            g[i, j] = val
-            g[j, i] = np.conj(val)
+    """G[i, j] = k(x_i, x_j): upper triangle evaluated, lower conjugate-mirrored."""
+    if spec.variant == "gaussian":
+        table = _gaussian_upper(spec.gamma, vs.vectors)
+    elif spec.variant == "homogeneous":
+        table = inner_table(vs.vectors) ** spec.p
+    else:
+        table = (inner_table(vs.vectors) + spec.c) ** spec.p
+    upper = np.triu(table, 1)
+    g = upper + upper.conj().T
+    np.fill_diagonal(g, table.diagonal().real)
     return GramMatrix(matrix=g, kernel=spec, source_fingerprint=vs.fingerprint())

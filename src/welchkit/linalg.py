@@ -3,15 +3,13 @@ Frobenius norm, numerical rank.
 
 Matrices are plain ``numpy.ndarray`` objects (2-D, promoted to complex128 on
 entry); every public operation validates shape and finiteness itself.  The
-eigensolver is a cyclic Jacobi iteration for Hermitian matrices: unconditionally
-convergent, self-contained, and accurate far below the tolerances used by the
-rest of the package.  Every returned spectrum is checked at runtime against the
-two trace identities sum(sigma_i) = Re tr(M) and sum(sigma_i^2) = ||M||_F^2.
+eigensolver is LAPACK ``eigvalsh`` on the exactly Hermitian part of the input.
+Every returned spectrum is checked at runtime against the two trace identities
+sum(sigma_i) = Re tr(M) and sum(sigma_i^2) = ||M||_F^2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,33 +22,11 @@ TRACE_IDENTITY_RTOL = 1e-9
 # PSD certification floor, relative to the largest eigenvalue.
 PSD_RTOL = 1e-9
 
+# Hermitian deviation allowed on input, relative to max(1, |M|_max).
+HERM_RTOL = 1e-10
 
-@dataclass(frozen=True)
-class EigOptions:
-    """Knobs for the Jacobi eigensolver.
-
-    max_sweeps: hard cap on full cyclic sweeps before NoConvergenceError.
-    offdiag_rtol: stop once the off-diagonal Frobenius norm drops below
-        offdiag_rtol * ||M||_F.
-    herm_rtol: Hermitian deviation allowed on input, relative to max(1, |M|_max).
-    """
-
-    max_sweeps: int = 30
-    offdiag_rtol: float = 1e-13
-    herm_rtol: float = 1e-10
-
-
-@dataclass(frozen=True)
-class RankPolicy:
-    """Relative spectral threshold for numerical rank.
-
-    An eigenvalue counts toward the rank when |sigma| > rel_tol * max(|sigma_1|,
-    floor_abs).  The floor keeps the threshold positive for the zero matrix so
-    its rank comes out 0.
-    """
-
-    rel_tol: float = 1e-8
-    floor_abs: float = 1e-300
+# Default relative threshold for numerical rank.
+RANK_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -91,13 +67,10 @@ def _require_square(a: np.ndarray) -> int:
 
 
 def trace(m) -> complex:
-    """Sum of diagonal entries in ascending index order."""
+    """Sum of diagonal entries."""
     a = as_matrix(m)
     _require_square(a)
-    total = 0j
-    for i in range(a.shape[0]):
-        total += a[i, i]
-    return total
+    return complex(np.trace(a))
 
 
 def frobenius_norm_sq(m) -> float:
@@ -110,35 +83,31 @@ def _close_rel(a: float, b: float, rtol: float) -> bool:
     return abs(a - b) <= rtol * max(1.0, abs(b))
 
 
-def hermitian_eigenvalues(m, opts: EigOptions | None = None) -> EigenSpectrum:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eigenvalues(m) -> EigenSpectrum:
+    """Eigenvalues of a Hermitian matrix by LAPACK ``eigvalsh``.
 
     Returns the spectrum sorted descending.  Raises NotSquareError or
-    NotHermitianError on bad input and NoConvergenceError if the sweep cap is
-    reached or the trace identities fail afterwards.
+    NotHermitianError on bad input and NoConvergenceError if LAPACK fails or
+    the trace identities fail afterwards.
     """
-    if opts is None:
-        opts = EigOptions()
     a = as_matrix(m)
     n = _require_square(a)
 
     scale = max(1.0, float(np.max(np.abs(a))))
     herm_dev = float(np.max(np.abs(a - a.conj().T)))
-    if herm_dev > opts.herm_rtol * scale:
+    if herm_dev > HERM_RTOL * scale:
         raise NotHermitianError(
             f"Hermitian deviation {herm_dev:.3e} exceeds tolerance "
-            f"{opts.herm_rtol * scale:.3e}"
+            f"{HERM_RTOL * scale:.3e}"
         )
 
     tr_re = float(trace(a).real)
     fro_sq = frobenius_norm_sq(a)
 
-    if n == 1:
-        values = np.array([a[0, 0].real])
-    else:
-        values = _jacobi_eigenvalues(a, opts)
-
-    values = np.sort(values)[::-1].copy()
+    try:
+        values = np.linalg.eigvalsh(0.5 * (a + a.conj().T))[::-1].copy()
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"LAPACK eigvalsh failed: {exc}") from exc
 
     sum_vals = float(np.sum(values))
     sum_sq = float(np.sum(values**2))
@@ -152,67 +121,6 @@ def hermitian_eigenvalues(m, opts: EigOptions | None = None) -> EigenSpectrum:
             f"squared Frobenius norm {fro_sq!r}"
         )
     return EigenSpectrum(values=values, source_dim=n, clamp_applied=False)
-
-
-def _offdiag_sq(a: np.ndarray) -> float:
-    # Summed directly (not total minus diagonal) so cancellation cannot floor
-    # the result at eps * ||M||_F^2.
-    sq = a.real**2 + a.imag**2
-    np.fill_diagonal(sq, 0.0)
-    return float(np.sum(sq))
-
-
-def _jacobi_eigenvalues(a: np.ndarray, opts: EigOptions) -> np.ndarray:
-    """Cyclic Jacobi on a working copy; returns unsorted real eigenvalues."""
-    w = a.copy()
-    n = w.shape[0]
-    # Symmetrize once so tiny Hermitian deviation cannot bias the iteration.
-    w = 0.5 * (w + w.conj().T)
-    fro = math.sqrt(frobenius_norm_sq(w))
-    if fro == 0.0:
-        return np.zeros(n)
-    off_tol_sq = (opts.offdiag_rtol * fro) ** 2
-    # Entries at or below this can be skipped without ever stalling above
-    # off_tol: if every pair is this small the off-norm is already below tol.
-    skip_tol = opts.offdiag_rtol * fro / (2.0 * n)
-
-    for _ in range(opts.max_sweeps):
-        if _offdiag_sq(w) <= off_tol_sq:
-            return np.real(np.diagonal(w)).copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                r = abs(apq)
-                if r <= skip_tol:
-                    continue
-                app = w[p, p].real
-                aqq = w[q, q].real
-                theta = (aqq - app) / (2.0 * r)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                phase = apq / r
-                cp = c * phase
-                sp = s * phase
-                # Two-sided unitary rotation in the (p, q) plane: columns, then rows.
-                colp = w[:, p].copy()
-                colq = w[:, q].copy()
-                w[:, p] = cp * colp - s * colq
-                w[:, q] = sp * colp + c * colq
-                rowp = w[p, :].copy()
-                rowq = w[q, :].copy()
-                w[p, :] = np.conj(cp) * rowp - s * rowq
-                w[q, :] = np.conj(sp) * rowp + c * rowq
-                # Closed forms keep the pivot entries exact.
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                w[p, p] = app - t * r
-                w[q, q] = aqq + t * r
-    if _offdiag_sq(w) <= off_tol_sq:
-        return np.real(np.diagonal(w)).copy()
-    raise NoConvergenceError(
-        f"Jacobi iteration did not converge in {opts.max_sweeps} sweeps"
-    )
 
 
 def clamp_psd(spectrum: EigenSpectrum, rtol: float = PSD_RTOL) -> EigenSpectrum:
@@ -237,12 +145,9 @@ def clamp_psd(spectrum: EigenSpectrum, rtol: float = PSD_RTOL) -> EigenSpectrum:
     return spectrum
 
 
-def numerical_rank(spectrum: EigenSpectrum, policy: RankPolicy | None = None) -> int:
-    """Count eigenvalues above the relative threshold of the policy."""
-    if policy is None:
-        policy = RankPolicy()
+def numerical_rank(spectrum: EigenSpectrum, rel_tol: float = RANK_RTOL) -> int:
+    """Count eigenvalues with |sigma| > rel_tol * |sigma_1|; the zero matrix has rank 0."""
     vals = spectrum.values
     if vals.size == 0:
         return 0
-    tau = policy.rel_tol * max(abs(float(vals[0])), policy.floor_abs)
-    return int(np.count_nonzero(np.abs(vals) > tau))
+    return int(np.count_nonzero(np.abs(vals) > rel_tol * abs(float(vals[0]))))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 import statistics
 from dataclasses import dataclass
 
@@ -19,13 +20,14 @@ import numpy as np
 
 from .errors import InvalidScanError
 from .features import embedding_dim
-from .kernels import GramMatrix, KernelSpec, VectorSet, gram_matrix
-from .linalg import EigenSpectrum
+from .frames import random_unit_vectors
+from .kernels import GramMatrix, KernelSpec, gram_matrix
+from .linalg import RANK_RTOL, EigenSpectrum, numerical_rank
 from .serialize import format_float
 
 # An eigenvalue counts toward the epsilon-rank when it exceeds epsilon times
 # the largest one; this is the default epsilon.
-DEFAULT_EPSILON = 1e-8
+DEFAULT_EPSILON = RANK_RTOL
 
 CSV_HEADER = (
     "kernel", "variant", "p", "c", "gamma",
@@ -96,7 +98,7 @@ def epsilon_rank_profile(
     thresholds=(DEFAULT_EPSILON,),
     n: int | None = None,
 ) -> RankProfile:
-    """Rank at each threshold: #{sigma_i > epsilon * sigma_max}.
+    """Rank at each threshold: numerical_rank of the spectrum at epsilon.
 
     Thresholds must be strictly descending and positive.  Pass the ambient
     dimension n to attach the polynomial ceiling as theoretical_dim.  The
@@ -104,13 +106,7 @@ def epsilon_rank_profile(
     """
     thresholds = tuple(float(e) for e in thresholds)
     spectrum = g.spectrum()
-    top = float(spectrum.values[0]) if spectrum.values.size else 0.0
-    ranks = []
-    for eps in thresholds:
-        if top <= 0.0:
-            ranks.append(0)
-        else:
-            ranks.append(int(np.sum(spectrum.values > eps * top)))
+    ranks = tuple(numerical_rank(spectrum, eps) for eps in thresholds)
     dim = None
     if n is not None and g.kernel.is_polynomial:
         dim = embedding_dim(g.kernel, n)
@@ -119,7 +115,7 @@ def epsilon_rank_profile(
         m=g.m,
         n=n,
         thresholds=thresholds,
-        ranks=tuple(ranks),
+        ranks=ranks,
         theoretical_dim=dim,
         spectrum=spectrum,
     )
@@ -143,11 +139,16 @@ def rank_scan(
     kernels = tuple(kernel_family)
     if not kernels:
         raise InvalidScanError("kernel family is empty")
+    for name, value in (("n", n), ("m", m), ("trials", trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidScanError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise InvalidScanError("need at least one trial")
     if n < 1 or m < 1:
         raise InvalidScanError("need n >= 1 and m >= 1")
-    if epsilon <= 0:
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
+        raise InvalidScanError(f"epsilon must be a number, got {epsilon!r}")
+    if not epsilon > 0:
         raise InvalidScanError("epsilon must be positive")
     dims = {}
     for spec in kernels:
@@ -164,10 +165,7 @@ def rank_scan(
     rows = []
     ranks_by_kernel = {spec: [] for spec in kernels}
     for trial, child in enumerate(master.spawn(trials)):
-        rng = np.random.Generator(np.random.Philox(child))
-        data = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        data = data / np.linalg.norm(data, axis=1, keepdims=True)
-        vs = VectorSet(vectors=data)
+        vs = random_unit_vectors(m, n, seed=child)
         for spec in kernels:
             profile = epsilon_rank_profile(
                 gram_matrix(spec, vs), thresholds=(epsilon,), n=n

@@ -76,12 +76,22 @@ def parse_json(text: str):
 
 
 def atomic_write(path: str, text: str):
-    """Write text via a same-directory temp file and an atomic rename."""
+    """Write text via a same-directory temp file and an atomic rename.
+
+    The temp file is fsynced before the rename and gets mode 0o666 & ~umask,
+    the mode open() would give a new file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        # The umask can only be read by setting it; restore it at once.
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -116,6 +116,17 @@ class TestCheck:
         assert doc["inequality_id"] == "gram-rank"
         assert doc["holds"] is True
 
+    @pytest.mark.parametrize("ineq", ["shifted", "shifted-unit"])
+    @pytest.mark.parametrize("c", ["nan", "inf", "-1"])
+    def test_bad_shift_is_argument_error(self, unit_file, capsys, ineq, c):
+        code, _, err = run(
+            capsys, "check", "--in", unit_file, "--inequality", ineq,
+            "--p", "2", "--c", c,
+        )
+        assert code == 2
+        assert "shift c" in err
+        assert "slack" not in err
+
     def test_gram_rank_homogeneous_needs_p(self, unit_file, capsys):
         code, _, _ = run(
             capsys, "check", "--in", unit_file, "--inequality", "gram-rank"
@@ -295,6 +306,34 @@ class TestRankScan:
         code, _, _ = run(capsys, "rank-scan", "--config", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "overrides, code, needle",
+        [
+            pytest.param({"kernels": [{"variant": "shifted", "p": 1}]}, 0, None,
+                         id="shifted-without-c"),
+            pytest.param({"kernels": [{"variant": "gaussian"}]}, 2, "gamma",
+                         id="gaussian-without-gamma"),
+            pytest.param({"kernels": [{"variant": "gaussian", "gamma": True}]}, 2,
+                         "gamma", id="bool-gamma"),
+            pytest.param({"kernels": [{"variant": "shifted", "p": 1, "c": "1"}]}, 2,
+                         "parameter c", id="string-c"),
+            pytest.param({"kernels": [{"p": 1}]}, 2, "variant", id="no-variant"),
+            pytest.param({"n": "2"}, 2, "n must be an integer", id="string-n"),
+            pytest.param({"m": 8.0}, 2, "m must be an integer", id="float-m"),
+            pytest.param({"trials": 2.5}, 2, "trials must be an integer",
+                         id="float-trials"),
+            pytest.param({"seed": "5"}, 2, "seed must be an integer", id="string-seed"),
+            pytest.param({"epsilon": "1e-8"}, 2, "epsilon", id="string-epsilon"),
+        ],
+    )
+    def test_malformed_values_exit_cleanly(self, tmp_path, capsys, overrides, code, needle):
+        path, _ = self.write_config(tmp_path, **overrides)
+        got, _, err = run(capsys, "rank-scan", "--config", str(path))
+        assert got == code
+        assert "Traceback" not in err
+        if needle is not None:
+            assert needle in err
+
     def test_missing_config_file_is_io_error(self, capsys):
         code, _, _ = run(capsys, "rank-scan", "--config", "/nonexistent.json")
         assert code == 3
@@ -329,6 +368,17 @@ class TestEmbedCheck:
         )
         assert code == 0
         assert "embedding_dim=3" in stdout
+
+    def test_large_dimension(self, tmp_path, capsys):
+        path = tmp_path / "set.json"
+        run(capsys, "gen", "random", "--m", "3", "--n", "1200", "--seed", "0",
+            "--out", str(path))
+        capsys.readouterr()
+        code, stdout, _ = run(
+            capsys, "embed-check", "--in", str(path), "--p", "1"
+        )
+        assert code == 0
+        assert stdout.endswith("rank=3 embedding_dim=1200\n")
 
     def test_missing_p_rejected(self, tmp_path, capsys):
         path = tmp_path / "set.json"

@@ -67,6 +67,11 @@ class TestMonomialBasis:
         basis = monomial_basis(4, 3)
         assert basis == sorted(basis, reverse=True)
 
+    def test_large_n_no_recursion_limit(self):
+        basis = monomial_basis(1200, 1)
+        assert len(basis) == 1200
+        assert basis[0][0] == 1 and basis[-1][-1] == 1
+
     def test_cap_enforced(self):
         with pytest.raises(CombinatorialOverflowError):
             monomial_basis(50, 5, cap=100)

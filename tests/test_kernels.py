@@ -133,6 +133,13 @@ class TestKernelSpecValidation:
         with pytest.raises(ValueError):
             KernelSpec.gaussian(0.0)
 
+    def test_rejects_non_numeric_parameters(self):
+        for bad in (None, True, "0.5", [0.5]):
+            with pytest.raises(ValueError, match="parameter c"):
+                KernelSpec.shifted(2, bad)
+            with pytest.raises(ValueError, match="parameter gamma"):
+                KernelSpec.gaussian(bad)
+
     def test_rejects_stray_parameters(self):
         with pytest.raises(ValueError):
             KernelSpec("homogeneous", p=2, gamma=1.0)
@@ -208,6 +215,22 @@ class TestGramMatrix:
         assert np.allclose(np.diag(g), 1.0, atol=1e-15)
         off = g[~np.eye(3, dtype=bool)]
         assert np.allclose(off, -0.5, atol=1e-15)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_matches_scalar_oracle(self, field):
+        # Table-based Gram vs eval_kernel entry by entry, norms from 0.1 to 1e3.
+        rng = np.random.default_rng(25)
+        base = random_vectors(rng, 9, 4, field=field, unit=True).vectors
+        scales = np.logspace(-1, 3, 9)
+        vs = VectorSet(vectors=base * scales[:, np.newaxis], field=field)
+        for spec in all_variants() + [KernelSpec.gaussian(1e-6)]:
+            g = gram_matrix(spec, vs).matrix
+            for i in range(vs.m):
+                for j in range(vs.m):
+                    k = eval_kernel(spec, vs.vectors[i], vs.vectors[j])
+                    assert abs(g[i, j] - k) <= 1e-12 * max(1.0, abs(k)), (spec, i, j)
+            if spec.variant == "gaussian":
+                assert np.all(np.diag(g) == 1.0)
 
     def test_exact_hermitian_symmetry(self):
         rng = np.random.default_rng(21)

@@ -1,4 +1,4 @@
-"""Core numerics: Jacobi eigensolver, trace, Frobenius norm, numerical rank."""
+"""Core numerics: eigensolver gates, trace, Frobenius norm, numerical rank."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from welchkit.errors import (
 )
 from welchkit.linalg import (
     EigenSpectrum,
-    EigOptions,
-    RankPolicy,
     clamp_psd,
     frobenius_norm_sq,
     hermitian_eigenvalues,
@@ -82,11 +80,23 @@ class TestHermitianEigenvalues:
         with pytest.raises(NotHermitianError):
             hermitian_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        # LAPACK reports hitting its iteration cap as LinAlgError.
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         rng = np.random.default_rng(3)
-        h = random_hermitian(rng, 6)
         with pytest.raises(NoConvergenceError):
-            hermitian_eigenvalues(h, EigOptions(max_sweeps=1, offdiag_rtol=1e-16))
+            hermitian_eigenvalues(random_hermitian(rng, 6))
+
+    def test_trace_identity_gate(self, monkeypatch):
+        # A spectrum that breaks sum(sigma) = tr G is rejected, not returned.
+        true_eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: true_eigvalsh(a) + 1e-6)
+        rng = np.random.default_rng(3)
+        with pytest.raises(NoConvergenceError, match="sum of eigenvalues"):
+            hermitian_eigenvalues(random_hermitian(rng, 6))
 
     def test_1x1(self):
         spec = hermitian_eigenvalues(np.array([[4.0]]))
@@ -159,8 +169,8 @@ class TestNumericalRank:
 
     def test_policy_threshold(self):
         spec = EigenSpectrum(np.array([1.0, 1e-4, 1e-12]), 3)
-        assert numerical_rank(spec, RankPolicy(rel_tol=1e-8)) == 2
-        assert numerical_rank(spec, RankPolicy(rel_tol=1e-2)) == 1
+        assert numerical_rank(spec, rel_tol=1e-8) == 2
+        assert numerical_rank(spec, rel_tol=1e-2) == 1
 
 
 class TestClampPsd:

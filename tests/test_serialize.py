@@ -1,5 +1,8 @@
 """Canonical JSON, vector-set files, report round-trips."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,17 @@ class TestAtomicWrite:
         assert target.read_text() == "second\n"
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.json"]
         assert leftovers == []
+
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        target = tmp_path / "out.json"
+        old = os.umask(umask)
+        try:
+            atomic_write(str(target), "x\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == mode
 
 
 class TestVectorSetFiles:
