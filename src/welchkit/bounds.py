@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     AllZeroVectorsError,
     NotUnitNormError,
+    NumericalError,
     TooFewVectorsError,
     WelchKitError,
 )
@@ -96,6 +97,8 @@ class BoundReport:
 def _build(inequality_id, lhs, rhs, **metadata) -> BoundReport:
     lhs = float(lhs)
     rhs = float(rhs)
+    if not (np.isfinite(lhs) and np.isfinite(rhs)):
+        raise NumericalError(f"{inequality_id}: lhs {lhs} or rhs {rhs} is not finite")
     slack = lhs - rhs
     scale = max(1.0, abs(rhs))
     holds = slack >= -CHECK_TOL * scale
@@ -200,14 +203,15 @@ def generalized_report(vs: VectorSet, p: int) -> BoundReport:
     """Normalized ratio form: works for arbitrary (non-unit) vectors.
 
     lhs = sum_ij |<x_i, x_j>|^(2p) / (sum_i |x_i|^(2p))^2, rhs = 1 / C(n+p-1, p).
-    Invariant under global rescaling of the whole set.
+    Invariant under global rescaling of the whole set, so it is evaluated on
+    the set divided by its largest entry modulus, which no scale can overflow.
     """
     _require_degree(p)
-    norm_powers = vs.norms() ** (2 * p)
-    denom = float(np.sum(norm_powers)) ** 2
-    if denom == 0.0:
+    scale = float(np.max(np.abs(vs.vectors)))
+    if scale == 0.0:
         raise AllZeroVectorsError("ratio undefined: every vector is zero")
-    lhs = sum_power_lhs(vs, p) / denom
+    scaled = VectorSet(vs.vectors / scale)
+    lhs = sum_power_lhs(scaled, p) / float(np.sum(scaled.norms() ** (2 * p))) ** 2
     rhs = 1.0 / binomial(vs.n + p - 1, p)
     return _build("generalized", lhs, rhs, m=vs.m, n=vs.n, p=p)
 

@@ -10,8 +10,8 @@ Subcommands:
 
 Exit codes are a stable scripting contract: 0 success (and the inequality
 holds), 1 inequality violated, 2 argument or configuration error, 3 I/O
-failure, 4 numerical precondition failure (non-PSD input, non-unit norms,
-eigensolver breakdown, ...).
+failure, 4 numerical failure (non-PSD input, non-unit norms, overflow or
+NaN, ...).  Each welchkit error class carries its code as exit_code.
 """
 
 from __future__ import annotations
@@ -30,20 +30,7 @@ from .bounds import (
     shifted_report,
     shifted_unit_report,
 )
-from .errors import (
-    AllZeroVectorsError,
-    CombinatorialOverflowError,
-    DimensionMismatchError,
-    InvalidConfigError,
-    InvalidScanError,
-    NoConvergenceError,
-    NotHermitianError,
-    NotPSDError,
-    NotSquareError,
-    NotUnitNormError,
-    TooFewVectorsError,
-    UnsupportedKernelError,
-)
+from .errors import InvalidConfigError, NumericalError, WelchKitError
 from .features import embedding_dim, feature_matrix
 from .frames import (
     OptimizerConfig,
@@ -71,25 +58,6 @@ INEQUALITY_IDS = (
     "generalized",
     "shifted",
     "shifted-unit",
-)
-
-_ARGUMENT_ERRORS = (
-    InvalidConfigError,
-    InvalidScanError,
-    UnsupportedKernelError,
-    CombinatorialOverflowError,
-    DimensionMismatchError,
-    ValueError,
-)
-
-_NUMERICAL_ERRORS = (
-    NotPSDError,
-    NotHermitianError,
-    NotSquareError,
-    NotUnitNormError,
-    TooFewVectorsError,
-    AllZeroVectorsError,
-    NoConvergenceError,
 )
 
 
@@ -241,8 +209,7 @@ def cmd_embed_check(args) -> int:
         f"max_error={format_float(err)} rank={rank} embedding_dim={dim}"
     )
     if err >= 1e-10:
-        print("error: feature map does not reproduce the Gram", file=sys.stderr)
-        return 4
+        raise NumericalError("feature map does not reproduce the Gram")
     return 0
 
 
@@ -311,14 +278,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except _ARGUMENT_ERRORS as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except WelchKitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _NUMERICAL_ERRORS as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -2,7 +2,8 @@
 
 
 class WelchKitError(Exception):
-    """Base class for all welchkit errors."""
+    """Base class for all welchkit errors; exit_code is the `welch` exit status."""
+    exit_code = 4
 
 
 class NotSquareError(WelchKitError):
@@ -23,6 +24,7 @@ class NotPSDError(WelchKitError):
 
 class DimensionMismatchError(WelchKitError):
     """Vectors of unequal length fed to a pairwise operation."""
+    exit_code = 2
 
 
 class TooFewVectorsError(WelchKitError):
@@ -39,15 +41,23 @@ class AllZeroVectorsError(WelchKitError):
 
 class UnsupportedKernelError(WelchKitError):
     """Requested operation is only defined for polynomial kernels."""
+    exit_code = 2
 
 
 class CombinatorialOverflowError(WelchKitError):
     """Binomial coefficient or monomial basis exceeds the configured cap."""
+    exit_code = 2
 
 
 class InvalidConfigError(WelchKitError):
     """Optimizer or run configuration fails validation."""
+    exit_code = 2
 
 
 class InvalidScanError(WelchKitError):
     """Rank scan parameters cannot exercise the dimension ceilings."""
+    exit_code = 2
+
+
+class NumericalError(WelchKitError):
+    """A computed value is non-finite or breaks a proven bound."""

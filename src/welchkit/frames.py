@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import sum_power_lhs, welch_sum_bound
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, NumericalError
 from .kernels import VectorSet, inner_table
 
 # Step sizes below this end the line search (stationary at float precision).
@@ -66,7 +66,7 @@ class OptimizeResult:
 
     def __post_init__(self):
         if self.gap < -1e-9:
-            raise ValueError("gap below -1e-9: potential under the proven bound")
+            raise NumericalError("gap below -1e-9: potential under the proven bound")
         norms = self.vectors.norms()
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ValueError("optimizer iterate left the unit spheres")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -70,9 +71,20 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name!r} is not allowed")
 
 
+def _parse_int(text: str) -> int:
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"a {len(text)}-digit integer is beyond float range")
+    return value
+
+
 def parse_json(text: str):
-    """json.loads with NaN/Infinity rejected."""
-    return json.loads(text, parse_constant=_reject_constant)
+    """json.loads for every JSON input: NaN/Infinity, integers beyond float
+    range and over-deep nesting raise ValueError."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int)
+    except RecursionError:
+        raise ValueError("JSON nesting is too deep") from None
 
 
 def atomic_write(path: str, text: str):
@@ -127,7 +139,6 @@ def vector_set_from_dict(doc) -> VectorSet:
     rows = doc["vectors"]
     if not isinstance(rows, list) or len(rows) != m:
         raise ValueError("vectors must be a list of m rows")
-    data = np.empty((m, n), dtype=np.complex128)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"vector {i} must be a list of n entries")
@@ -138,10 +149,8 @@ def vector_set_from_dict(doc) -> VectorSet:
                 or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
             ):
                 raise ValueError(f"entry ({i}, {j}) must be a [re, im] pair")
-            re, im = float(entry[0]), float(entry[1])
-            if not (np.isfinite(re) and np.isfinite(im)):
-                raise ValueError(f"entry ({i}, {j}) is not finite")
-            data[i, j] = re + 1j * im
+    # (m, n, 2) doubles reinterpreted as (m, n) complex: bit-exact, no arithmetic.
+    data = np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
     labels = None
     if "labels" in doc:
         raw = doc["labels"]

@@ -5,14 +5,33 @@ import json
 import numpy as np
 import pytest
 
+from welchkit import cli, errors
 from welchkit.cli import main
 from welchkit.serialize import parse_json, read_vector_set
+
+DEEP_JSON = "[" * 10**5 + "]" * 10**5
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def real_set_text(rows, **header):
+    """Vector-set file text for real rows of numbers; header overrides m/n."""
+    doc = {
+        "field": "real",
+        "n": len(rows[0]),
+        "m": len(rows),
+        "vectors": [[[x, 0.0] for x in row] for row in rows],
+    }
+    doc.update(header)
+    return json.dumps(doc)
+
+
+HUGE_SET = real_set_text([[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]])
+UNIT_SET = real_set_text([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
 
 
 class TestGen:
@@ -203,6 +222,35 @@ class TestCheck:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, argv, code",
+        [
+            pytest.param(DEEP_JSON, ("check", "--inequality", "power-sum", "--p", "1"),
+                         2, id="nested-1e5-deep"),
+            pytest.param(real_set_text([[1.0]], n=10**15),
+                         ("check", "--inequality", "power-sum", "--p", "1"), 2,
+                         id="header-n-1e15"),
+            pytest.param(real_set_text([[10**400]]),
+                         ("check", "--inequality", "power-sum", "--p", "1"), 2,
+                         id="integer-beyond-float"),
+            pytest.param(HUGE_SET, ("check", "--inequality", "gram-rank",
+                                    "--kernel", "homogeneous", "--p", "2"), 4,
+                         id="gram-rank-overflow"),
+            pytest.param(HUGE_SET, ("embed-check", "--p", "2"), 4,
+                         id="embed-check-overflow"),
+            pytest.param(UNIT_SET, ("check", "--inequality", "shifted", "--p", "2",
+                                    "--c", "1e200"), 4, id="shifted-overflow"),
+            pytest.param(HUGE_SET, ("check", "--inequality", "generalized", "--p", "2"),
+                         0, id="generalized-rescaled"),
+        ],
+    )
+    def test_malformed_files_exit_cleanly(self, tmp_path, capsys, text, argv, code):
+        path = tmp_path / "set.json"
+        path.write_text(text)
+        got, _, err = run(capsys, *argv, "--in", str(path))
+        assert got == code
+        assert "Traceback" not in err
+
 
 class TestOptimize:
     def test_simplex_target_reached(self, tmp_path, capsys):
@@ -324,10 +372,23 @@ class TestRankScan:
                          id="float-trials"),
             pytest.param({"seed": "5"}, 2, "seed must be an integer", id="string-seed"),
             pytest.param({"epsilon": "1e-8"}, 2, "epsilon", id="string-epsilon"),
+            pytest.param({"kernels": [{"variant": "shifted", "p": 1, "c": 10**400}]},
+                         2, "float range", id="integer-beyond-float-c"),
+            pytest.param({"kernels": [{"variant": "gaussian", "gamma": 10**400}]},
+                         2, "float range", id="integer-beyond-float-gamma"),
+            pytest.param({"epsilon": 10**400}, 2, "float range",
+                         id="integer-beyond-float-epsilon"),
+            pytest.param(DEEP_JSON, 2, "nesting", id="nested-1e5-deep"),
+            pytest.param({"epsilon": 1e-14}, 2, "epsilon", id="tiny-epsilon"),
         ],
     )
     def test_malformed_values_exit_cleanly(self, tmp_path, capsys, overrides, code, needle):
-        path, _ = self.write_config(tmp_path, **overrides)
+        """overrides update the default config, or replace its text when a str."""
+        if isinstance(overrides, str):
+            path = tmp_path / "config.json"
+            path.write_text(overrides)
+        else:
+            path, _ = self.write_config(tmp_path, **overrides)
         got, _, err = run(capsys, "rank-scan", "--config", str(path))
         assert got == code
         assert "Traceback" not in err
@@ -405,3 +466,39 @@ class TestParser:
         monkeypatch.setattr("sys.argv", ["welch", "--help"])
         with pytest.raises(SystemExit):
             entry()
+
+
+EXIT_CODES = {
+    errors.WelchKitError: 4,
+    errors.NotSquareError: 4,
+    errors.NotHermitianError: 4,
+    errors.NoConvergenceError: 4,
+    errors.NotPSDError: 4,
+    errors.DimensionMismatchError: 2,
+    errors.TooFewVectorsError: 4,
+    errors.NotUnitNormError: 4,
+    errors.AllZeroVectorsError: 4,
+    errors.UnsupportedKernelError: 2,
+    errors.CombinatorialOverflowError: 2,
+    errors.InvalidConfigError: 2,
+    errors.InvalidScanError: 2,
+    errors.NumericalError: 4,
+}
+
+
+def test_every_error_class_exits_with_its_code(monkeypatch, capsys):
+    declared = {
+        value for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, errors.WelchKitError)
+    }
+    assert declared == set(EXIT_CODES)
+    for cls, code in EXIT_CODES.items():
+        assert cls.exit_code == code
+
+        def fail(args, cls=cls):
+            raise cls("injected")
+
+        monkeypatch.setattr(cli, "cmd_gen", fail)
+        got, _, err = run(capsys, "gen", "simplex", "--n", "2")
+        assert got == code, cls.__name__
+        assert err == "error: injected\n"

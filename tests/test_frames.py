@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from welchkit.bounds import coherence, sum_power_lhs, welch_coherence_bound, welch_sum_bound
-from welchkit.errors import InvalidConfigError
+from welchkit.errors import InvalidConfigError, NumericalError
 from welchkit.frames import (
     OptimizeResult,
     OptimizerConfig,
@@ -193,7 +193,7 @@ class TestMinimizeFramePotential:
 class TestOptimizeResultValidation:
     def test_rejects_negative_gap(self):
         vs = orthonormal_frame(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             OptimizeResult(
                 vectors=vs,
                 final_potential=1.0,
