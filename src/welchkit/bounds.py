@@ -35,7 +35,7 @@ from .errors import (
     WelchKitError,
 )
 from .features import binomial
-from .kernels import GramMatrix, KernelSpec, VectorSet, inner_table
+from .kernels import GramMatrix, KernelSpec, VectorSet, inner_table, power_sum
 from .linalg import frobenius_norm_sq, trace
 
 # A bound "holds" when slack >= -CHECK_TOL * max(1, |rhs|).
@@ -157,7 +157,7 @@ def welch_coherence_bound(m: int, n: int, p: int) -> CoherenceBound:
 def sum_power_lhs(vs: VectorSet, p: int) -> float:
     """Full double sum of |<x_i, x_j>|^(2p), diagonal included."""
     _require_degree(p)
-    return float(np.sum(np.abs(inner_table(vs.vectors)) ** (2 * p)))
+    return power_sum(inner_table(vs.vectors), p)
 
 
 def welch_sum_bound(m: int, n: int, p: int) -> float:
@@ -216,10 +216,6 @@ def generalized_report(vs: VectorSet, p: int) -> BoundReport:
     return _build("generalized", lhs, rhs, m=vs.m, n=vs.n, p=p)
 
 
-def _shifted_lhs(vs: VectorSet, p: int, c: float) -> float:
-    return float(np.sum(np.abs(inner_table(vs.vectors) + c) ** (2 * p)))
-
-
 def shifted_report(vs: VectorSet, p: int, c: float) -> BoundReport:
     """Shifted-kernel power sum vs its augmented-dimension bound.
 
@@ -231,7 +227,7 @@ def shifted_report(vs: VectorSet, p: int, c: float) -> BoundReport:
     against the general rhs.
     """
     c = KernelSpec.shifted(p, c).c
-    lhs = _shifted_lhs(vs, p, c)
+    lhs = power_sum(inner_table(vs.vectors) + c, p)
     denom = binomial(vs.n + p, p)
     norm_sq = vs.norms() ** 2
     rhs = float(np.sum((norm_sq + c) ** p)) ** 2 / denom
@@ -251,7 +247,7 @@ def shifted_unit_report(vs: VectorSet, p: int, c: float) -> BoundReport:
     """Unit-norm form of the shifted bound: rhs = m^2 (1+c)^(2p) / C(n+p, p)."""
     c = KernelSpec.shifted(p, c).c
     _require_unit_norms(vs, UNIT_NORM_TOL)
-    lhs = _shifted_lhs(vs, p, c)
+    lhs = power_sum(inner_table(vs.vectors) + c, p)
     denom = binomial(vs.n + p, p)
     rhs = vs.m**2 * (1.0 + c) ** (2 * p) / denom
     return _build(

@@ -106,11 +106,18 @@ def cmd_check(args) -> int:
     vs = read_vector_set(args.infile)
     ineq = args.inequality
     if ineq == "gram-rank":
+        variant = "homogeneous" if args.kernel is None else args.kernel
         spec = _kernel(
-            {"variant": args.kernel, "p": args.p, "c": args.c, "gamma": args.gamma}
+            {"variant": variant, "p": args.p, "c": args.c, "gamma": args.gamma}
         )
         report = gram_rank_report(gram_matrix(spec, vs))
     else:
+        unread = {"--kernel": args.kernel, "--gamma": args.gamma}
+        if ineq not in ("shifted", "shifted-unit"):
+            unread["--c"] = args.c
+        for flag, value in unread.items():
+            if value is not None:
+                raise InvalidConfigError(f"{flag} does not apply to {ineq}")
         if args.p is None:
             raise InvalidConfigError(f"--p is required for {ineq}")
         if ineq == "coherence":
@@ -214,38 +221,38 @@ def cmd_embed_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    common.add_argument("--out", help="output file path")
-
     parser = argparse.ArgumentParser(
         prog="welch",
         description="Vector-set inequality toolkit: generate, check, optimize, scan.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", parents=[common], help="write a vector-set file")
+    gen = sub.add_parser("gen", help="write a vector-set file")
     gen.add_argument("kind", choices=("random", "simplex", "orthonormal"))
+    gen.add_argument("--seed", type=int, default=0, help="PRNG seed")
+    gen.add_argument("--out", help="output file path")
     gen.add_argument("--m", type=int, help="number of vectors (random only)")
     gen.add_argument("--n", type=int, help="ambient dimension")
     gen.add_argument("--field", choices=("real", "complex"), default="complex")
     gen.set_defaults(func=cmd_gen)
 
-    check = sub.add_parser("check", parents=[common], help="evaluate one inequality")
+    check = sub.add_parser("check", help="evaluate one inequality")
     check.add_argument("--in", dest="infile", required=True, help="vector-set file")
+    check.add_argument("--out", help="output file path")
     check.add_argument("--inequality", choices=INEQUALITY_IDS, required=True)
     check.add_argument("--p", type=int, help="kernel degree")
     check.add_argument("--c", type=float, help="kernel shift (shifted variants)")
     check.add_argument(
         "--kernel",
         choices=("homogeneous", "shifted", "gaussian"),
-        default="homogeneous",
-        help="Gram kernel for gram-rank",
+        help="Gram kernel for gram-rank (default homogeneous)",
     )
     check.add_argument("--gamma", type=float, help="gaussian kernel width")
     check.set_defaults(func=cmd_check)
 
-    opt = sub.add_parser("optimize", parents=[common], help="minimize frame potential")
+    opt = sub.add_parser("optimize", help="minimize frame potential")
+    opt.add_argument("--seed", type=int, default=0, help="PRNG seed")
+    opt.add_argument("--out", help="output file path")
     opt.add_argument("--m", type=int, required=True)
     opt.add_argument("--n", type=int, required=True)
     opt.add_argument("--p", type=int, required=True)
@@ -256,13 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--restarts", type=int, default=5)
     opt.set_defaults(func=cmd_optimize)
 
-    scan = sub.add_parser("rank-scan", parents=[common], help="kernel-family rank scan")
+    scan = sub.add_parser("rank-scan", help="kernel-family rank scan")
     scan.add_argument("--config", required=True, help="JSON scan configuration")
     scan.set_defaults(func=cmd_rank_scan)
 
-    embed = sub.add_parser(
-        "embed-check", parents=[common], help="verify the explicit feature map"
-    )
+    embed = sub.add_parser("embed-check", help="verify the explicit feature map")
     embed.add_argument("--in", dest="infile", required=True, help="vector-set file")
     embed.add_argument("--p", type=int, help="kernel degree")
     embed.add_argument("--c", type=float, help="shift; selects the shifted kernel")

@@ -32,7 +32,7 @@ from .kernels import KernelSpec, VectorSet
 # Largest admissible binomial coefficient (fits a signed 64-bit integer).
 INT_CAP = 2**63 - 1
 
-# Default ceiling on monomial basis length.
+# Ceiling on monomial basis length.
 BASIS_CAP = 10**6
 
 
@@ -63,31 +63,31 @@ def multinomial(p: int, exponents) -> int:
     return coeff
 
 
-def _monomial_factors(n: int, p: int, cap: int = BASIS_CAP) -> list[tuple[int, ...]]:
+def _monomial_factors(n: int, p: int) -> list[tuple[int, ...]]:
     """Degree-p monomials over n variables, each as its p factor indices.
 
     Indices are non-decreasing, and the monomials come in the order of
-    monomial_basis; exceeding `cap` raises instead of allocating.
+    monomial_basis; exceeding BASIS_CAP raises instead of allocating.
     """
     if n < 1 or p < 1:
         raise ValueError("monomial basis needs n >= 1 and p >= 1")
     size = math.comb(n + p - 1, p)
-    if size > cap:
+    if size > BASIS_CAP:
         raise CombinatorialOverflowError(
-            f"monomial basis for n={n}, p={p} has {size} elements, cap is {cap}"
+            f"monomial basis for n={n}, p={p} has {size} elements, cap is {BASIS_CAP}"
         )
     return list(itertools.combinations_with_replacement(range(n), p))
 
 
-def monomial_basis(n: int, p: int, cap: int = BASIS_CAP) -> list[tuple[int, ...]]:
+def monomial_basis(n: int, p: int) -> list[tuple[int, ...]]:
     """All degree-p multi-indices over n variables, graded-lex order.
 
     Within the single grade p the order is lexicographic descending:
     (p, 0, ..., 0) first, (0, ..., 0, p) last.  Length is C(n+p-1, p);
-    exceeding `cap` raises instead of allocating.
+    exceeding BASIS_CAP raises instead of allocating.
     """
     basis = []
-    for factors in _monomial_factors(n, p, cap):
+    for factors in _monomial_factors(n, p):
         alpha = [0] * n
         for k in factors:
             alpha[k] += 1
@@ -124,21 +124,12 @@ def _embed_rows(rows: np.ndarray, p: int) -> np.ndarray:
 
 def embed_homogeneous(x, p: int) -> np.ndarray:
     """phi(x) with <phi(x), phi(y)> = <x, y>^p; length C(n+p-1, p)."""
-    xv = np.asarray(x, dtype=np.complex128)
-    if xv.ndim != 1 or xv.shape[0] < 1:
-        raise ValueError("expected a 1-D vector")
-    return _embed_rows(xv[np.newaxis, :], p)[0]
+    return feature_matrix(KernelSpec.homogeneous(p), VectorSet([x])).matrix[:, 0]
 
 
 def embed_shifted(x, p: int, c: float) -> np.ndarray:
     """phi for the shifted kernel: embed (x, sqrt(c)); length C(n+p, p)."""
-    if c < 0:
-        raise ValueError("shift c must be >= 0")
-    xv = np.asarray(x, dtype=np.complex128)
-    if xv.ndim != 1 or xv.shape[0] < 1:
-        raise ValueError("expected a 1-D vector")
-    augmented = np.concatenate([xv, [math.sqrt(c)]])
-    return embed_homogeneous(augmented, p)
+    return feature_matrix(KernelSpec.shifted(p, c), VectorSet([x])).matrix[:, 0]
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 The potential sum_ij |<x_i, x_j>|^(2p) over unit-norm sets is bounded below
 by m^2 / C(n+p-1, p); this module probes how close that bound is to
-attainable.  The minimizer is projected gradient descent on the product of
-unit spheres with Armijo backtracking: ambient gradient, tangent projection
-(radial component removed), step, renormalize.  Randomness comes from the
-counter-based Philox generator with one spawned stream per restart, so runs
-are reproducible regardless of restart execution order.
+attainable.  The potential is ``kernels.power_sum`` of the inner-product
+table, the same function behind the power-sum lhs.  The minimizer is
+projected gradient descent on the product of unit spheres with Armijo
+backtracking: ambient gradient, tangent projection (radial component
+removed), step, renormalize.  Each restart starts from
+``random_unit_vectors`` on its own stream spawned from the master seed, so
+runs are reproducible regardless of restart execution order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .bounds import sum_power_lhs, welch_sum_bound
 from .errors import InvalidConfigError, NumericalError
-from .kernels import VectorSet, inner_table
+from .kernels import VectorSet, inner_table, power_sum
 
 # Step sizes below this end the line search (stationary at float precision).
 _STEP_FLOOR = 1e-18
@@ -41,12 +43,12 @@ class OptimizerConfig:
             raise InvalidConfigError("degree p must be an integer >= 1")
         if self.max_iters < 1:
             raise InvalidConfigError("max_iters must be >= 1")
-        if not self.step_init > 0:
-            raise InvalidConfigError("step_init must be > 0")
+        if not 0 < self.step_init < math.inf:
+            raise InvalidConfigError("step_init must be finite and > 0")
         if not 0 < self.armijo_c < 1:
             raise InvalidConfigError("armijo_c must lie strictly in (0, 1)")
-        if not self.grad_tol > 0:
-            raise InvalidConfigError("grad_tol must be > 0")
+        if not 0 < self.grad_tol < math.inf:
+            raise InvalidConfigError("grad_tol must be finite and > 0")
         if self.restarts < 1:
             raise InvalidConfigError("restarts must be >= 1")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
@@ -123,24 +125,18 @@ def simplex_frame(n: int) -> VectorSet:
 
 
 def frame_potential(vs: VectorSet, p: int) -> float:
-    """The optimizer objective; same quantity as the power-sum lhs."""
+    """The optimizer objective: the power-sum lhs, power_sum of the table."""
     return sum_power_lhs(vs, p)
 
 
-def _potential_raw(x: np.ndarray, p: int) -> float:
-    g = inner_table(x)
-    return float(np.sum(np.abs(g) ** (2 * p)))
-
-
-def _gradient_raw(x: np.ndarray, p: int) -> np.ndarray:
+def _gradient_raw(x: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
     """Ambient gradient of the potential w.r.t. the real parameterization.
 
-    grad_i = 4p sum_j |g_ij|^(2(p-1)) conj(g_ij) x_j, with g_ij = <x_i, x_j>.
+    grad_i = 4p sum_j |t_ij|^(2(p-1)) conj(t_ij) x_j, with t = inner_table(x).
     The finite-difference invariant in the tests is the authoritative check
     of this formula.
     """
-    g = inner_table(x)
-    w = np.abs(g) ** (2 * p - 2) * np.conj(g)
+    w = np.abs(t) ** (2 * p - 2) * np.conj(t)
     return 4.0 * p * (w @ x)
 
 
@@ -148,7 +144,7 @@ def potential_gradient(vs: VectorSet, p: int) -> np.ndarray:
     """Ambient (unconstrained) potential gradient, one row per vector."""
     if p < 1:
         raise ValueError("degree p must be >= 1")
-    return _gradient_raw(vs.vectors, p)
+    return _gradient_raw(vs.vectors, inner_table(vs.vectors), p)
 
 
 def _project_tangent(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -162,17 +158,19 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _descend(x: np.ndarray, p: int, cfg: OptimizerConfig):
-    f = _potential_raw(x, p)
+    t = inner_table(x)
+    f = power_sum(t, p)
     trajectory = [f]
     for _ in range(cfg.max_iters):
-        rgrad = _project_tangent(x, _gradient_raw(x, p))
+        rgrad = _project_tangent(x, _gradient_raw(x, t, p))
         gnorm_sq = float(np.sum(rgrad.real**2 + rgrad.imag**2))
         if math.sqrt(gnorm_sq) < cfg.grad_tol:
             break
         step = cfg.step_init
         while True:
             candidate = _normalize_rows(x - step * rgrad)
-            fc = _potential_raw(candidate, p)
+            tc = inner_table(candidate)
+            fc = power_sum(tc, p)
             if fc <= f - cfg.armijo_c * step * gnorm_sq:
                 break
             step *= 0.5
@@ -181,7 +179,7 @@ def _descend(x: np.ndarray, p: int, cfg: OptimizerConfig):
                 break
         if candidate is None:
             break
-        x, f = candidate, fc
+        x, t, f = candidate, tc, fc
         trajectory.append(f)
     return x, f, trajectory
 
@@ -197,9 +195,7 @@ def minimize_frame_potential(m: int, n: int, cfg: OptimizerConfig) -> OptimizeRe
     master = np.random.SeedSequence(cfg.seed)
     best = None
     for child in master.spawn(cfg.restarts):
-        rng = np.random.Generator(np.random.Philox(child))
-        x0 = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        x0 = _normalize_rows(x0)
+        x0 = random_unit_vectors(m, n, seed=child).vectors
         x, f, trajectory = _descend(x0, cfg.p, cfg)
         if best is None or f < best[1]:
             best = (x, f, trajectory)

@@ -4,7 +4,8 @@ A ``VectorSet`` holds m vectors of C^n as the rows of an (m, n) complex128
 array.  ``KernelSpec`` names one of the supported positive-semidefinite
 kernels (homogeneous polynomial, shifted polynomial, Gaussian).
 ``inner_table`` is the one place the pairwise inner products
-T[i, j] = <x_i, x_j> are computed; ``gram_matrix`` maps T elementwise
+T[i, j] = <x_i, x_j> are computed, and ``power_sum`` the one place a table
+is reduced to sum_ij |T[i, j]|^(2p); ``gram_matrix`` maps T elementwise
 (T**p, (T + c)**p), except for the Gaussian kernel, which uses direct
 differences x_i - x_j one row at a time.  The upper triangle is then mirrored
 into the lower one with a real diagonal, so the Gram is exactly Hermitian.
@@ -15,7 +16,6 @@ in the FIRST argument, <x, y> = x^H y.
 
 from __future__ import annotations
 
-import hashlib
 import numbers
 from dataclasses import dataclass
 
@@ -68,14 +68,6 @@ class VectorSet:
     def norms(self) -> np.ndarray:
         """Euclidean norm of each vector, as a length-m float array."""
         return np.sqrt(np.sum(self.vectors.real**2 + self.vectors.imag**2, axis=1))
-
-    def fingerprint(self) -> str:
-        """sha256 over field tag, shape, and raw entry bytes."""
-        h = hashlib.sha256()
-        h.update(self.field.encode())
-        h.update(f"{self.m}x{self.n}".encode())
-        h.update(np.ascontiguousarray(self.vectors).tobytes())
-        return h.hexdigest()
 
 
 def _real_parameter(name: str, value) -> float:
@@ -165,7 +157,6 @@ class GramMatrix:
 
     matrix: np.ndarray
     kernel: KernelSpec
-    source_fingerprint: str
 
     def __post_init__(self):
         a = np.array(self.matrix, dtype=np.complex128)
@@ -234,6 +225,13 @@ def inner_table(x: np.ndarray) -> np.ndarray:
     return np.conj(x) @ x.T
 
 
+def power_sum(t: np.ndarray, p: int) -> float:
+    """sum_ij |t[i, j]|^(2p) of a pairwise table, diagonal included."""
+    a = np.abs(t)
+    a **= 2 * p  # in place: with t alive, at most two table-sized arrays exist
+    return float(np.sum(a))
+
+
 def _gaussian_upper(gamma: float, x: np.ndarray) -> np.ndarray:
     """exp(-gamma |x_i - x_j|^2) for j > i, ones on the diagonal, zeros below.
 
@@ -259,4 +257,4 @@ def gram_matrix(spec: KernelSpec, vs: VectorSet) -> GramMatrix:
     upper = np.triu(table, 1)
     g = upper + upper.conj().T
     np.fill_diagonal(g, table.diagonal().real)
-    return GramMatrix(matrix=g, kernel=spec, source_fingerprint=vs.fingerprint())
+    return GramMatrix(matrix=g, kernel=spec)

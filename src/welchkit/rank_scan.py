@@ -149,8 +149,8 @@ def rank_scan(
     if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
         raise InvalidScanError(f"epsilon must be a number, got {epsilon!r}")
     # Below ~1e3 machine epsilons, eigenvalue ratios are eigensolver rounding noise.
-    if not epsilon >= 1e3 * np.finfo(float).eps:
-        raise InvalidScanError("epsilon must be at least 1e3 machine epsilons")
+    if not 1e3 * np.finfo(float).eps <= epsilon < np.inf:
+        raise InvalidScanError("epsilon must be finite and >= 1e3 machine epsilons")
     dims = {}
     for spec in kernels:
         if spec.is_polynomial:
@@ -168,10 +168,7 @@ def rank_scan(
     for trial, child in enumerate(master.spawn(trials)):
         vs = random_unit_vectors(m, n, seed=child)
         for spec in kernels:
-            profile = epsilon_rank_profile(
-                gram_matrix(spec, vs), thresholds=(epsilon,), n=n
-            )
-            rank = profile.ranks[0]
+            rank = numerical_rank(gram_matrix(spec, vs).spectrum(), epsilon)
             ranks_by_kernel[spec].append(rank)
             rows.append(
                 ScanRow(
@@ -179,7 +176,7 @@ def rank_scan(
                     trial=trial,
                     epsilon=epsilon,
                     rank=rank,
-                    theoretical_dim=profile.theoretical_dim,
+                    theoretical_dim=dims.get(spec),
                 )
             )
     summaries = []

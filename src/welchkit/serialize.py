@@ -17,6 +17,7 @@ file must have all imaginary parts exactly 0.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import tempfile
@@ -78,11 +79,23 @@ def _parse_int(text: str) -> int:
     return value
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text!r} is beyond float range")
+    return value
+
+
 def parse_json(text: str):
-    """json.loads for every JSON input: NaN/Infinity, integers beyond float
+    """json.loads for every JSON input: NaN/Infinity, numbers beyond float
     range and over-deep nesting raise ValueError."""
     try:
-        return json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int)
+        return json.loads(
+            text,
+            parse_constant=_reject_constant,
+            parse_int=_parse_int,
+            parse_float=_parse_float,
+        )
     except RecursionError:
         raise ValueError("JSON nesting is too deep") from None
 

@@ -32,6 +32,11 @@ def real_set_text(rows, **header):
 
 HUGE_SET = real_set_text([[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]])
 UNIT_SET = real_set_text([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+# A scan config whose epsilon literal overflows a double.
+EPSILON_1E400 = (
+    '{"kernels": [{"variant": "homogeneous", "p": 1}], '
+    '"n": 2, "m": 8, "trials": 3, "seed": 5, "epsilon": 1e400}'
+)
 
 
 class TestGen:
@@ -116,9 +121,10 @@ class TestCheck:
         "ineq", ["coherence", "power-sum", "generalized", "shifted", "shifted-unit"]
     )
     def test_holds_and_reports(self, unit_file, capsys, ineq):
+        shift = ("--c", "0.5") if ineq.startswith("shifted") else ()
         code, stdout, _ = run(
             capsys, "check", "--in", unit_file, "--inequality", ineq,
-            "--p", "2", "--c", "0.5",
+            "--p", "2", *shift,
         )
         assert code == 0
         doc = parse_json(stdout)
@@ -278,6 +284,15 @@ class TestOptimize:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--step-init", "--grad-tol"])
+    def test_non_finite_config_rejected(self, capsys, flag):
+        code, out, err = run(
+            capsys, "optimize", "--m", "4", "--n", "2", "--p", "1", flag, "inf"
+        )
+        assert code == 2
+        assert out == ""
+        assert flag[2:].replace("-", "_") in err
+
 
 class TestRankScan:
     def write_config(self, tmp_path, **overrides):
@@ -380,6 +395,7 @@ class TestRankScan:
                          id="integer-beyond-float-epsilon"),
             pytest.param(DEEP_JSON, 2, "nesting", id="nested-1e5-deep"),
             pytest.param({"epsilon": 1e-14}, 2, "epsilon", id="tiny-epsilon"),
+            pytest.param(EPSILON_1E400, 2, "float range", id="float-beyond-epsilon"),
         ],
     )
     def test_malformed_values_exit_cleanly(self, tmp_path, capsys, overrides, code, needle):
@@ -389,9 +405,11 @@ class TestRankScan:
             path.write_text(overrides)
         else:
             path, _ = self.write_config(tmp_path, **overrides)
-        got, _, err = run(capsys, "rank-scan", "--config", str(path))
+        got, out, err = run(capsys, "rank-scan", "--config", str(path))
         assert got == code
         assert "Traceback" not in err
+        if code != 0:
+            assert out == ""
         if needle is not None:
             assert needle in err
 
@@ -459,6 +477,52 @@ class TestParser:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param(("check", "--inequality", "power-sum", "--p", "1",
+                          "--seed", "7"), "--seed", id="check-seed"),
+            pytest.param(("rank-scan", "--seed", "7"), "--seed", id="rank-scan-seed"),
+            pytest.param(("rank-scan", "--out", "x.csv"), "--out", id="rank-scan-out"),
+            pytest.param(("embed-check", "--p", "1", "--seed", "7"), "--seed",
+                         id="embed-check-seed"),
+            pytest.param(("embed-check", "--p", "1", "--out", "x.csv"), "--out",
+                         id="embed-check-out"),
+            pytest.param(("check", "--inequality", "coherence", "--p", "2",
+                          "--c", "1"), "--c", id="coherence-c"),
+            pytest.param(("check", "--inequality", "power-sum", "--p", "2",
+                          "--c", "1"), "--c", id="power-sum-c"),
+            pytest.param(("check", "--inequality", "generalized", "--p", "2",
+                          "--c", "1"), "--c", id="generalized-c"),
+            pytest.param(("check", "--inequality", "power-sum", "--p", "2",
+                          "--kernel", "gaussian"), "--kernel", id="power-sum-kernel"),
+            pytest.param(("check", "--inequality", "shifted-unit", "--p", "2",
+                          "--kernel", "shifted"), "--kernel", id="shifted-unit-kernel"),
+            pytest.param(("check", "--inequality", "shifted", "--p", "2",
+                          "--gamma", "3"), "--gamma", id="shifted-gamma"),
+            pytest.param(("check", "--inequality", "coherence", "--p", "2",
+                          "--gamma", "3"), "--gamma", id="coherence-gamma"),
+        ],
+    )
+    def test_unread_flag_rejected(self, tmp_path, monkeypatch, capsys, argv, flag):
+        """Each flag a subcommand would ignore is an argument error naming it."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "set.json").write_text(UNIT_SET)
+        kernels = [{"variant": "homogeneous", "p": 1}]
+        (tmp_path / "scan.json").write_text(json.dumps(
+            {"kernels": kernels, "n": 2, "m": 3, "trials": 1, "seed": 0}
+        ))
+        if argv[0] == "rank-scan":
+            source = ("--config", "scan.json")
+        else:
+            source = ("--in", "set.json")
+        code, out, err = run(capsys, *argv, *source)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json", "set.json"]
 
     def test_entry_raises_system_exit(self, monkeypatch, capsys):
         from welchkit.cli import entry

@@ -73,9 +73,9 @@ class TestMonomialBasis:
         assert basis[0][0] == 1 and basis[-1][-1] == 1
 
     def test_cap_enforced(self):
+        assert binomial(100 + 5 - 1, 5) > BASIS_CAP == 10**6
         with pytest.raises(CombinatorialOverflowError):
-            monomial_basis(50, 5, cap=100)
-        assert BASIS_CAP == 10**6
+            monomial_basis(100, 5)
 
     def test_rejects_degenerate_arguments(self):
         with pytest.raises(ValueError):
@@ -112,6 +112,10 @@ class TestEmbedHomogeneous:
                 x = np.arange(1, n + 1, dtype=float)
                 assert embed_homogeneous(x, p).shape == (binomial(n + p - 1, p),)
 
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError):
+            embed_homogeneous([np.inf, 1.0], 2)
+
 
 class TestEmbedShifted:
     def test_zero_shift_appends_zero(self):
@@ -141,6 +145,10 @@ class TestEmbedShifted:
     def test_rejects_negative_shift(self):
         with pytest.raises(ValueError):
             embed_shifted(np.ones(2), 1, -0.5)
+
+    def test_rejects_non_finite_shift(self):
+        with pytest.raises(ValueError):
+            embed_shifted(np.ones(2), 2, np.nan)
 
 
 class TestKernelMapEquivalence:

@@ -127,8 +127,11 @@ class TestOptimizerConfig:
             dict(p=0),
             dict(p=1, max_iters=0),
             dict(p=1, step_init=0.0),
+            dict(p=1, step_init=np.inf),
+            dict(p=1, step_init=np.nan),
             dict(p=1, armijo_c=1.0),
             dict(p=1, grad_tol=0.0),
+            dict(p=1, grad_tol=np.inf),
             dict(p=1, restarts=0),
             dict(p=1, seed=-1),
         ]
