@@ -4,9 +4,12 @@ The potential sum_ij |<x_i, x_j>|^(2p) over unit-norm sets is bounded below
 by m^2 / C(n+p-1, p); this module probes how close that bound is to
 attainable.  The potential is ``kernels.power_sum`` of the inner-product
 table, the same function behind the power-sum lhs.  The minimizer is
-projected gradient descent on the product of unit spheres with Armijo
-backtracking: ambient gradient, tangent projection (radial component
-removed), step, renormalize.  Each restart starts from
+projected gradient descent on the product of unit spheres: ambient
+gradient, tangent projection (radial component removed), step, renormalize.
+Each line search starts from a Barzilai-Borwein step (BB1 and BB2 in turn;
+``step_init`` first and whenever <s, y> <= 0) and halves it until the Armijo
+test holds with a strict decrease.  A restart stops on ``grad_tol``, when
+the step falls below the floor, or at ``max_iters``.  Each restart starts from
 ``random_unit_vectors`` on its own stream spawned from the master seed, so
 runs are reproducible regardless of restart execution order.
 """
@@ -39,19 +42,19 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or isinstance(self.p, bool) or self.p < 1:
+        if type(self.p) is not int or self.p < 1:
             raise InvalidConfigError("degree p must be an integer >= 1")
-        if self.max_iters < 1:
-            raise InvalidConfigError("max_iters must be >= 1")
+        if type(self.max_iters) is not int or self.max_iters < 1:
+            raise InvalidConfigError("max_iters must be an integer >= 1")
         if not 0 < self.step_init < math.inf:
             raise InvalidConfigError("step_init must be finite and > 0")
         if not 0 < self.armijo_c < 1:
             raise InvalidConfigError("armijo_c must lie strictly in (0, 1)")
         if not 0 < self.grad_tol < math.inf:
             raise InvalidConfigError("grad_tol must be finite and > 0")
-        if self.restarts < 1:
-            raise InvalidConfigError("restarts must be >= 1")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if type(self.restarts) is not int or self.restarts < 1:
+            raise InvalidConfigError("restarts must be an integer >= 1")
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise InvalidConfigError("seed must be an integer in [0, 2^64)")
 
 
@@ -161,17 +164,25 @@ def _descend(x: np.ndarray, p: int, cfg: OptimizerConfig):
     t = inner_table(x)
     f = power_sum(t, p)
     trajectory = [f]
-    for _ in range(cfg.max_iters):
+    x_old = g_old = None
+    for k in range(cfg.max_iters):
         rgrad = _project_tangent(x, _gradient_raw(x, t, p))
         gnorm_sq = float(np.sum(rgrad.real**2 + rgrad.imag**2))
         if math.sqrt(gnorm_sq) < cfg.grad_tol:
             break
         step = cfg.step_init
+        if x_old is not None:
+            # Barzilai-Borwein, the old gradient moved into this tangent space.
+            s, y = x - x_old, rgrad - _project_tangent(x, g_old)
+            sy = np.vdot(s, y).real
+            if sy > 0:
+                step = np.vdot(s, s).real / sy if k % 2 else sy / np.vdot(y, y).real
         while True:
             candidate = _normalize_rows(x - step * rgrad)
             tc = inner_table(candidate)
             fc = power_sum(tc, p)
-            if fc <= f - cfg.armijo_c * step * gnorm_sq:
+            # Strict decrease too: at the float floor fc == f passes Armijo.
+            if fc < f and fc <= f - cfg.armijo_c * step * gnorm_sq:
                 break
             step *= 0.5
             if step < _STEP_FLOOR:
@@ -179,6 +190,7 @@ def _descend(x: np.ndarray, p: int, cfg: OptimizerConfig):
                 break
         if candidate is None:
             break
+        x_old, g_old = x, rgrad
         x, t, f = candidate, tc, fc
         trajectory.append(f)
     return x, f, trajectory

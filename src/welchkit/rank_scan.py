@@ -14,6 +14,7 @@ import csv
 import io
 import numbers
 import statistics
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,8 +150,10 @@ def rank_scan(
     if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
         raise InvalidScanError(f"epsilon must be a number, got {epsilon!r}")
     # Below ~1e3 machine epsilons, eigenvalue ratios are eigensolver rounding noise.
-    if not 1e3 * np.finfo(float).eps <= epsilon < np.inf:
+    # Python floats compare exactly with any int, so float() below cannot overflow.
+    if not 1e3 * sys.float_info.epsilon <= epsilon <= sys.float_info.max:
         raise InvalidScanError("epsilon must be finite and >= 1e3 machine epsilons")
+    epsilon = float(epsilon)
     dims = {}
     for spec in kernels:
         if spec.is_polynomial:

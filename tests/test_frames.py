@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from welchkit import frames
 from welchkit.bounds import coherence, sum_power_lhs, welch_coherence_bound, welch_sum_bound
 from welchkit.errors import InvalidConfigError, NumericalError
 from welchkit.frames import (
@@ -125,7 +126,10 @@ class TestOptimizerConfig:
     def test_rejects_bad_values(self):
         bad = [
             dict(p=0),
+            dict(p=True),
             dict(p=1, max_iters=0),
+            dict(p=1, max_iters=2.5),
+            dict(p=1, max_iters=True),
             dict(p=1, step_init=0.0),
             dict(p=1, step_init=np.inf),
             dict(p=1, step_init=np.nan),
@@ -133,7 +137,10 @@ class TestOptimizerConfig:
             dict(p=1, grad_tol=0.0),
             dict(p=1, grad_tol=np.inf),
             dict(p=1, restarts=0),
+            dict(p=1, restarts=1.5),
+            dict(p=1, restarts=True),
             dict(p=1, seed=-1),
+            dict(p=1, seed=True),
         ]
         for kwargs in bad:
             with pytest.raises(InvalidConfigError):
@@ -191,6 +198,36 @@ class TestMinimizeFramePotential:
     def test_rejects_m_below_n(self):
         with pytest.raises(InvalidConfigError):
             minimize_frame_potential(2, 3, OptimizerConfig(p=1))
+
+
+class TestEvaluationBudget:
+    """Inner-table calls per run: a timing-free guard on convergence speed."""
+
+    @staticmethod
+    def count_calls(monkeypatch, m, n, cfg):
+        calls = [0]
+        original = frames.inner_table
+
+        def counted(x):
+            calls[0] += 1
+            return original(x)
+
+        monkeypatch.setattr(frames, "inner_table", counted)
+        return minimize_frame_potential(m, n, cfg), calls[0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sic_in_dimension_three_certified_within_budget(self, monkeypatch, seed):
+        cfg = OptimizerConfig(p=2, seed=seed, grad_tol=1e-6)
+        res, calls = self.count_calls(monkeypatch, 9, 3, cfg)
+        assert calls <= 6000
+        assert res.iterations < cfg.max_iters
+        assert -1e-9 <= res.gap <= 1e-6 * res.bound
+
+    @pytest.mark.parametrize("m, n, seed", [(4, 2, 18), (4, 2, 19), (3, 2, 1)])
+    def test_no_restart_stalls_at_the_float_floor(self, monkeypatch, m, n, seed):
+        res, calls = self.count_calls(monkeypatch, m, n, OptimizerConfig(p=1, seed=seed))
+        assert calls <= 2000
+        assert abs(res.gap) < 1e-9
 
 
 class TestOptimizeResultValidation:

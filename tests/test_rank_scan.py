@@ -138,6 +138,8 @@ class TestRankScan:
             rank_scan([KernelSpec.linear()], n=2, m=8, trials=2, seed=0, epsilon=0.0)
         with pytest.raises(InvalidScanError):
             rank_scan([KernelSpec.linear()], n=2, m=8, trials=2, seed=0, epsilon=np.inf)
+        with pytest.raises(InvalidScanError):
+            rank_scan([KernelSpec.linear()], n=2, m=8, trials=2, seed=0, epsilon=10**400)
 
 
 class TestScanSerialization:
