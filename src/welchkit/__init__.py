@@ -44,13 +44,11 @@ from .features import (
     embed_shifted,
     embedding_dim,
     feature_matrix,
-    monomial_basis,
     multinomial,
 )
 from .frames import (
     OptimizeResult,
     OptimizerConfig,
-    frame_potential,
     minimize_frame_potential,
     orthonormal_frame,
     potential_gradient,
@@ -75,9 +73,7 @@ from .linalg import (
 )
 from .rank_scan import (
     DEFAULT_EPSILON,
-    RankProfile,
     ScanResult,
-    epsilon_rank_profile,
     rank_scan,
     scan_csv,
     scan_summary_dict,
@@ -112,7 +108,6 @@ __all__ = [
     "NumericalError",
     "OptimizeResult",
     "OptimizerConfig",
-    "RankProfile",
     "ScanResult",
     "TooFewVectorsError",
     "UnsupportedKernelError",
@@ -126,11 +121,9 @@ __all__ = [
     "embed_homogeneous",
     "embed_shifted",
     "embedding_dim",
-    "epsilon_rank_profile",
     "eval_kernel",
     "feature_matrix",
     "format_float",
-    "frame_potential",
     "generalized_report",
     "gram_matrix",
     "gram_rank_report",
@@ -138,7 +131,6 @@ __all__ = [
     "inner_product",
     "inner_table",
     "minimize_frame_potential",
-    "monomial_basis",
     "multinomial",
     "numerical_rank",
     "orthonormal_frame",

@@ -22,7 +22,6 @@ Double sums always include the diagonal i = j terms.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +32,7 @@ from .errors import (
     NumericalError,
     TooFewVectorsError,
     WelchKitError,
+    check_int,
 )
 from .features import binomial
 from .kernels import GramMatrix, KernelSpec, VectorSet, inner_table, power_sum
@@ -114,11 +114,6 @@ def _build(inequality_id, lhs, rhs, **metadata) -> BoundReport:
     )
 
 
-def _require_degree(p: int):
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise ValueError("degree p must be an integer >= 1")
-
-
 def _require_unit_norms(vs: VectorSet, tol: float):
     devs = np.abs(vs.norms() - 1.0)
     if np.max(devs) > tol:
@@ -142,30 +137,31 @@ def welch_coherence_bound(m: int, n: int, p: int) -> CoherenceBound:
     The radicand is non-positive when m <= C(n+p-1, p); in that regime the
     bound says nothing and the vacuous flag is set.
     """
+    m = check_int("m", m, 1)
+    n = check_int("n", n, 1)
+    p = check_int("degree p", p, 1)
     if m < 2:
         raise TooFewVectorsError("coherence bound needs m >= 2")
-    if n < 1:
-        raise ValueError("ambient dimension n must be >= 1")
-    _require_degree(p)
     denom = binomial(n + p - 1, p)
-    radicand = Fraction(m - denom, denom * (m - 1))
-    if radicand <= 0:
+    if m - denom <= 0:
         return CoherenceBound(0.0, True)
-    return CoherenceBound(float(radicand) ** (1.0 / (2.0 * p)), False)
+    # int / int true division is correctly rounded.
+    radicand = (m - denom) / (denom * (m - 1))
+    return CoherenceBound(radicand ** (1 / (2 * p)), False)
 
 
 def sum_power_lhs(vs: VectorSet, p: int) -> float:
     """Full double sum of |<x_i, x_j>|^(2p), diagonal included."""
-    _require_degree(p)
+    p = check_int("degree p", p, 1)
     return power_sum(inner_table(vs.vectors), p)
 
 
 def welch_sum_bound(m: int, n: int, p: int) -> float:
-    """m^2 / C(n+p-1, p), exact rational then converted to float."""
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    _require_degree(p)
-    return float(Fraction(m * m, binomial(n + p - 1, p)))
+    """m^2 / C(n+p-1, p), correctly rounded (int / int true division)."""
+    m = check_int("m", m, 1)
+    n = check_int("n", n, 1)
+    p = check_int("degree p", p, 1)
+    return m * m / binomial(n + p - 1, p)
 
 
 def power_sum_report(vs: VectorSet, p: int) -> BoundReport:
@@ -206,7 +202,7 @@ def generalized_report(vs: VectorSet, p: int) -> BoundReport:
     Invariant under global rescaling of the whole set, so it is evaluated on
     the set divided by its largest entry modulus, which no scale can overflow.
     """
-    _require_degree(p)
+    p = check_int("degree p", p, 1)
     scale = float(np.max(np.abs(vs.vectors)))
     if scale == 0.0:
         raise AllZeroVectorsError("ratio undefined: every vector is zero")
@@ -259,7 +255,7 @@ def coherence_report(vs: VectorSet, p: int) -> BoundReport:
     """Coherence vs the 2p-th root bound; assumes unit-norm vectors."""
     if vs.m < 2:
         raise TooFewVectorsError("coherence needs at least two vectors")
-    _require_degree(p)
+    p = check_int("degree p", p, 1)
     _require_unit_norms(vs, UNIT_NORM_TOL)
     lhs = coherence(vs)
     bound = welch_coherence_bound(vs.m, vs.n, p)

@@ -9,9 +9,10 @@ Subcommands:
     embed-check verify the explicit feature map reproduces the Gram
 
 Exit codes are a stable scripting contract: 0 success (and the inequality
-holds), 1 inequality violated, 2 argument or configuration error, 3 I/O
-failure, 4 numerical failure (non-PSD input, non-unit norms, overflow or
-NaN, ...).  Each welchkit error class carries its code as exit_code.
+holds), 1 inequality violated, 2 argument or configuration error (a size
+too large to allocate included), 3 I/O failure, 4 numerical failure
+(non-PSD input, non-unit norms, overflow or NaN, ...).  Each welchkit error
+class carries its code as exit_code.
 """
 
 from __future__ import annotations
@@ -131,9 +132,9 @@ def cmd_check(args) -> int:
         else:
             report = shifted_unit_report(vs, args.p, 0.0 if args.c is None else args.c)
     text = canonical_json(report.to_dict())
-    print(text)
     if args.out is not None:
         atomic_write(args.out, text + "\n")
+    print(text)
     return 0 if report.holds else 1
 
 
@@ -148,14 +149,14 @@ def cmd_optimize(args) -> int:
         seed=args.seed,
     )
     result = minimize_frame_potential(args.m, args.n, cfg)
+    if args.out is not None:
+        atomic_write(args.out, canonical_json(optimize_result_to_dict(result)) + "\n")
     print(
         f"final_potential={format_float(result.final_potential)} "
         f"bound={format_float(result.bound)} "
         f"gap={format_float(result.gap)} "
         f"iterations={result.iterations}"
     )
-    if args.out is not None:
-        atomic_write(args.out, canonical_json(optimize_result_to_dict(result)) + "\n")
     return 0
 
 
@@ -171,6 +172,9 @@ def _load_scan_config(path: str) -> dict:
     for key in ("kernels", "n", "m", "trials", "seed"):
         if key not in doc:
             raise InvalidConfigError(f"scan config missing {key!r}")
+    for key in ("csv_out", "json_out"):
+        if doc.get(key) is not None and not isinstance(doc[key], str):
+            raise InvalidConfigError(f"{key} must be a path string")
     return doc
 
 
@@ -188,6 +192,10 @@ def cmd_rank_scan(args) -> int:
         seed=doc["seed"],
         epsilon=doc.get("epsilon", DEFAULT_EPSILON),
     )
+    if doc.get("csv_out") is not None:
+        atomic_write(doc["csv_out"], scan_csv(result))
+    if doc.get("json_out") is not None:
+        atomic_write(doc["json_out"], canonical_json(scan_summary_dict(result)) + "\n")
     for summary in result.summaries:
         dim = "-" if summary.theoretical_dim is None else str(summary.theoretical_dim)
         sat = "-" if summary.saturated is None else str(summary.saturated).lower()
@@ -196,10 +204,6 @@ def cmd_rank_scan(args) -> int:
             f"median_rank={format_float(summary.median_rank)} "
             f"theoretical_dim={dim} saturated={sat}"
         )
-    if doc.get("csv_out") is not None:
-        atomic_write(doc["csv_out"], scan_csv(result))
-    if doc.get("json_out") is not None:
-        atomic_write(doc["json_out"], canonical_json(scan_summary_dict(result)) + "\n")
     return 0
 
 
@@ -212,11 +216,11 @@ def cmd_embed_check(args) -> int:
     err = float(np.max(np.abs(fm.reconstructed_gram() - g.matrix)))
     rank = g.rank()
     dim = embedding_dim(spec, vs.n)
-    print(
-        f"max_error={format_float(err)} rank={rank} embedding_dim={dim}"
-    )
     if err >= 1e-10:
-        raise NumericalError("feature map does not reproduce the Gram")
+        raise NumericalError(
+            f"feature map does not reproduce the Gram: max_error={format_float(err)}"
+        )
+    print(f"max_error={format_float(err)} rank={rank} embedding_dim={dim}")
     return 0
 
 
@@ -288,7 +292,7 @@ def main(argv=None) -> int:
     except WelchKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the scalar-parameter checks.
+
+``check_int`` and ``check_real`` are the one place that decides what counts
+as an integer or a real parameter: any ``numbers.Integral`` or
+``numbers.Real`` except ``bool``, returned as a plain ``int`` (at most
+INT64_MAX unless the caller sets another bound) or a finite ``float``.
+"""
+
+import math
+import numbers
+
+# Counts, dimensions and degrees fit a signed 64-bit integer.
+INT64_MAX = 2**63 - 1
 
 
 class WelchKitError(Exception):
@@ -61,3 +73,37 @@ class InvalidScanError(WelchKitError):
 
 class NumericalError(WelchKitError):
     """A computed value is non-finite or breaks a proven bound."""
+
+
+def _shown(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def check_int(name, value, lo, hi=INT64_MAX, error=ValueError) -> int:
+    """value as an int, if it is an integer (not a bool) in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {_shown(value)}")
+    value = int(value)
+    if not lo <= value <= hi:
+        raise error(f"{name} must be an integer in [{lo}, {hi}], got {_shown(value)}")
+    return value
+
+
+def check_real(
+    name, value, lo, hi=math.inf, *, exclusive=False, error=ValueError
+) -> float:
+    """value as a finite float, if it is a real number (not a bool) in [lo, hi],
+    or in (lo, hi) when exclusive."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {_shown(value)}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int or a Fraction beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise error(f"{name} must be finite, got {_shown(value)}")
+    if not (lo < number < hi if exclusive else lo <= number <= hi):
+        ends = "()" if exclusive else "[]"
+        raise error(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {number!r}")
+    return number

@@ -26,11 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CombinatorialOverflowError, UnsupportedKernelError
+from .errors import (
+    INT64_MAX,
+    CombinatorialOverflowError,
+    UnsupportedKernelError,
+    check_int,
+)
 from .kernels import KernelSpec, VectorSet
-
-# Largest admissible binomial coefficient (fits a signed 64-bit integer).
-INT_CAP = 2**63 - 1
 
 # Ceiling on monomial basis length.
 BASIS_CAP = 10**6
@@ -38,16 +40,12 @@ BASIS_CAP = 10**6
 
 def binomial(a: int, b: int) -> int:
     """Exact C(a, b) for a >= b >= 0; error when past the 64-bit range."""
-    for v in (a, b):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError("binomial arguments must be integers")
-    if b < 0 or a < b:
-        raise ValueError(f"binomial needs a >= b >= 0, got a={a}, b={b}")
-    value = math.comb(a, b)
-    if value > INT_CAP:
-        raise CombinatorialOverflowError(
-            f"C({a}, {b}) = {value} exceeds the 64-bit cap"
-        )
+    a = check_int("binomial a", a, 0)
+    b = check_int("binomial b", b, 0, a)
+    # C(a, k) >= 2^k for k = min(b, a - b): past the cap without computing it.
+    value = math.comb(a, b) if min(b, a - b) < 63 else INT64_MAX + 1
+    if value > INT64_MAX:
+        raise CombinatorialOverflowError(f"C({a}, {b}) exceeds the 64-bit cap")
     return value
 
 
@@ -66,33 +64,16 @@ def multinomial(p: int, exponents) -> int:
 def _monomial_factors(n: int, p: int) -> list[tuple[int, ...]]:
     """Degree-p monomials over n variables, each as its p factor indices.
 
-    Indices are non-decreasing, and the monomials come in the order of
-    monomial_basis; exceeding BASIS_CAP raises instead of allocating.
+    Indices are non-decreasing and the monomials come in lexicographic order
+    of those indices: x_1^p first, x_n^p last.  Exceeding BASIS_CAP raises
+    instead of allocating.
     """
-    if n < 1 or p < 1:
-        raise ValueError("monomial basis needs n >= 1 and p >= 1")
     size = math.comb(n + p - 1, p)
     if size > BASIS_CAP:
         raise CombinatorialOverflowError(
             f"monomial basis for n={n}, p={p} has {size} elements, cap is {BASIS_CAP}"
         )
     return list(itertools.combinations_with_replacement(range(n), p))
-
-
-def monomial_basis(n: int, p: int) -> list[tuple[int, ...]]:
-    """All degree-p multi-indices over n variables, graded-lex order.
-
-    Within the single grade p the order is lexicographic descending:
-    (p, 0, ..., 0) first, (0, ..., 0, p) last.  Length is C(n+p-1, p);
-    exceeding BASIS_CAP raises instead of allocating.
-    """
-    basis = []
-    for factors in _monomial_factors(n, p):
-        alpha = [0] * n
-        for k in factors:
-            alpha[k] += 1
-        basis.append(tuple(alpha))
-    return basis
 
 
 def embedding_dim(spec: KernelSpec, n: int) -> int:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import sum_power_lhs, welch_sum_bound
-from .errors import InvalidConfigError, NumericalError
+from .bounds import welch_sum_bound
+from .errors import INT64_MAX, InvalidConfigError, NumericalError, check_int, check_real
 from .kernels import VectorSet, inner_table, power_sum
 
 # Step sizes below this end the line search (stationary at float precision).
@@ -42,20 +42,17 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if type(self.p) is not int or self.p < 1:
-            raise InvalidConfigError("degree p must be an integer >= 1")
-        if type(self.max_iters) is not int or self.max_iters < 1:
-            raise InvalidConfigError("max_iters must be an integer >= 1")
-        if not 0 < self.step_init < math.inf:
-            raise InvalidConfigError("step_init must be finite and > 0")
-        if not 0 < self.armijo_c < 1:
-            raise InvalidConfigError("armijo_c must lie strictly in (0, 1)")
-        if not 0 < self.grad_tol < math.inf:
-            raise InvalidConfigError("grad_tol must be finite and > 0")
-        if type(self.restarts) is not int or self.restarts < 1:
-            raise InvalidConfigError("restarts must be an integer >= 1")
-        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
-            raise InvalidConfigError("seed must be an integer in [0, 2^64)")
+        for name, lo, hi in (
+            ("p", 1, INT64_MAX), ("max_iters", 1, INT64_MAX),
+            ("restarts", 1, INT64_MAX), ("seed", 0, 2**64 - 1),
+        ):
+            value = check_int(name, getattr(self, name), lo, hi, InvalidConfigError)
+            object.__setattr__(self, name, value)
+        for name, hi in (("step_init", math.inf), ("armijo_c", 1), ("grad_tol", math.inf)):
+            value = check_real(
+                name, getattr(self, name), 0, hi, exclusive=True, error=InvalidConfigError
+            )
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,7 @@ def random_unit_vectors(
     Draw order is fixed (real block first, then the imaginary block for the
     complex field) so a seed pins down the set bit-for-bit.
     """
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and n >= 1")
+    m, n = check_int("m", m, 1), check_int("n", n, 1)
     rng = np.random.Generator(np.random.Philox(seed))
     re = rng.standard_normal((m, n))
     if field == "complex":
@@ -99,8 +95,7 @@ def random_unit_vectors(
 
 def orthonormal_frame(n: int) -> VectorSet:
     """Standard basis of C^n (real entries)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    n = check_int("n", n, 1)
     return VectorSet(vectors=np.eye(n), field="real")
 
 
@@ -112,9 +107,7 @@ def simplex_frame(n: int) -> VectorSet:
     orthonormal basis of that hyperplane (built from one Householder
     reflection mapping e_1 to the normalized all-ones vector).
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    k = n + 1
+    k = check_int("n", n, 1) + 1
     u = np.ones(k) / math.sqrt(k)
     w = u - np.eye(k)[:, 0]
     w = w / np.linalg.norm(w)
@@ -125,11 +118,6 @@ def simplex_frame(n: int) -> VectorSet:
     rows = projected / np.linalg.norm(projected, axis=1, keepdims=True)
     coords = rows @ basis
     return VectorSet(vectors=coords, field="real")
-
-
-def frame_potential(vs: VectorSet, p: int) -> float:
-    """The optimizer objective: the power-sum lhs, power_sum of the table."""
-    return sum_power_lhs(vs, p)
 
 
 def _gradient_raw(x: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
@@ -145,8 +133,7 @@ def _gradient_raw(x: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
 
 def potential_gradient(vs: VectorSet, p: int) -> np.ndarray:
     """Ambient (unconstrained) potential gradient, one row per vector."""
-    if p < 1:
-        raise ValueError("degree p must be >= 1")
+    p = check_int("degree p", p, 1)
     return _gradient_raw(vs.vectors, inner_table(vs.vectors), p)
 
 
@@ -202,8 +189,8 @@ def minimize_frame_potential(m: int, n: int, cfg: OptimizerConfig) -> OptimizeRe
     Restart streams are spawned from the master seed; the restart with the
     smallest final potential wins, ties going to the lowest restart index.
     """
-    if not (m >= n >= 1):
-        raise InvalidConfigError(f"need m >= n >= 1, got m={m}, n={n}")
+    n = check_int("n", n, 1, error=InvalidConfigError)
+    m = check_int("m", m, n, error=InvalidConfigError)
     master = np.random.SeedSequence(cfg.seed)
     best = None
     for child in master.spawn(cfg.restarts):

@@ -16,12 +16,11 @@ in the FIRST argument, <x, y> = x^H y.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, check_int, check_real
 from .linalg import EigenSpectrum, clamp_psd, hermitian_eigenvalues, numerical_rank
 
 _FIELDS = ("real", "complex")
@@ -70,12 +69,6 @@ class VectorSet:
         return np.sqrt(np.sum(self.vectors.real**2 + self.vectors.imag**2, axis=1))
 
 
-def _real_parameter(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"kernel parameter {name} must be a number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """One of the supported PSD kernels.
@@ -85,7 +78,8 @@ class KernelSpec:
     variant "gaussian":    k(x, y) = exp(-gamma |x-y|^2) (gamma > 0)
 
     The parameter ranges guarantee positive semidefiniteness.  Unused
-    parameters stay None; c and gamma must be real numbers (not bool).
+    parameters stay None; the others are checked by errors.check_int and
+    errors.check_real and stored as int and float.
     """
 
     variant: str
@@ -95,24 +89,19 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.variant in ("homogeneous", "shifted"):
-            if not isinstance(self.p, int) or isinstance(self.p, bool) or self.p < 1:
-                raise ValueError("polynomial kernels need an integer degree p >= 1")
+            object.__setattr__(self, "p", check_int("kernel degree p", self.p, 1))
             if self.gamma is not None:
                 raise ValueError("gamma is only meaningful for the gaussian kernel")
             if self.variant == "homogeneous":
                 if self.c is not None:
                     raise ValueError("homogeneous kernel takes no shift c")
             else:
-                c = _real_parameter("c", self.c)
-                if not np.isfinite(c) or c < 0:
-                    raise ValueError("shifted kernel needs a finite shift c >= 0")
+                c = check_real("shift c (kernel parameter c)", self.c, 0)
                 object.__setattr__(self, "c", c)
         elif self.variant == "gaussian":
             if self.p is not None or self.c is not None:
                 raise ValueError("gaussian kernel takes only gamma")
-            g = _real_parameter("gamma", self.gamma)
-            if not np.isfinite(g) or g <= 0:
-                raise ValueError("gaussian kernel needs finite gamma > 0")
+            g = check_real("kernel parameter gamma", self.gamma, 0, exclusive=True)
             object.__setattr__(self, "gamma", g)
         else:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
@@ -128,11 +117,6 @@ class KernelSpec:
     @classmethod
     def gaussian(cls, gamma: float) -> "KernelSpec":
         return cls("gaussian", gamma=gamma)
-
-    @classmethod
-    def linear(cls) -> "KernelSpec":
-        """Alias: the homogeneous polynomial kernel with p = 1."""
-        return cls("homogeneous", p=1)
 
     @property
     def is_polynomial(self) -> bool:

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, NotHermitianError, NotPSDError, NotSquareError
+from .errors import (
+    NoConvergenceError,
+    NotHermitianError,
+    NotPSDError,
+    NotSquareError,
+    check_real,
+)
 
 # Relative tolerance for the runtime spectral identity checks.
 TRACE_IDENTITY_RTOL = 1e-9
@@ -129,6 +135,7 @@ def clamp_psd(spectrum: EigenSpectrum, rtol: float = PSD_RTOL) -> EigenSpectrum:
     Negatives within rtol * sigma_max of zero are zeroed (flagged via
     clamp_applied); anything below that floor raises NotPSDError.
     """
+    rtol = check_real("rtol", rtol, 0)
     vals = spectrum.values
     sigma_max = float(vals[0]) if vals.size else 0.0
     floor = rtol * max(sigma_max, 0.0)
@@ -147,6 +154,7 @@ def clamp_psd(spectrum: EigenSpectrum, rtol: float = PSD_RTOL) -> EigenSpectrum:
 
 def numerical_rank(spectrum: EigenSpectrum, rel_tol: float = RANK_RTOL) -> int:
     """Count eigenvalues with |sigma| > rel_tol * |sigma_1|; the zero matrix has rank 0."""
+    rel_tol = check_real("rel_tol", rel_tol, 0)
     vals = spectrum.values
     if vals.size == 0:
         return 0

@@ -1,29 +1,25 @@
 """Empirical spectrum-rank exploration across kernel families.
 
 For polynomial kernels the Gram rank is capped by the feature-space
-dimension; this module measures ranks at relative eigenvalue thresholds and
-scans kernel families over random data to see which families concentrate
-their spectra.  Whether non-polynomial kernels admit a comparable ceiling
+dimension; this module scans kernel families over random data, measuring
+Gram ranks at a relative eigenvalue threshold, to see which families
+concentrate their spectra.  Whether non-polynomial kernels admit a comparable ceiling
 is an open experimental question: scans report the evidence (median ranks,
 saturation of the known ceilings) and assert nothing beyond it.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import numbers
-import statistics
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidScanError
+from .errors import InvalidScanError, check_int, check_real
 from .features import embedding_dim
 from .frames import random_unit_vectors
-from .kernels import GramMatrix, KernelSpec, gram_matrix
-from .linalg import RANK_RTOL, EigenSpectrum, numerical_rank
+from .kernels import KernelSpec, gram_matrix
+from .linalg import RANK_RTOL, numerical_rank
 from .serialize import format_float
 
 # An eigenvalue counts toward the epsilon-rank when it exceeds epsilon times
@@ -34,30 +30,6 @@ CSV_HEADER = (
     "kernel", "variant", "p", "c", "gamma",
     "trial", "epsilon", "rank", "theoretical_dim",
 )
-
-
-@dataclass(frozen=True)
-class RankProfile:
-    """Ranks of one Gram matrix at several relative thresholds."""
-
-    kernel: KernelSpec
-    m: int
-    n: int | None
-    thresholds: tuple[float, ...]
-    ranks: tuple[int, ...]
-    theoretical_dim: int | None
-    spectrum: EigenSpectrum
-
-    def __post_init__(self):
-        eps = self.thresholds
-        if len(eps) < 1 or any(e <= 0 for e in eps):
-            raise ValueError("thresholds must be positive")
-        if any(a <= b for a, b in zip(eps, eps[1:])):
-            raise ValueError("thresholds must be strictly descending")
-        if len(self.ranks) != len(eps):
-            raise ValueError("one rank per threshold required")
-        if any(a > b for a, b in zip(self.ranks, self.ranks[1:])):
-            raise ValueError("ranks must be non-decreasing as epsilon shrinks")
 
 
 @dataclass(frozen=True)
@@ -94,34 +66,6 @@ class ScanResult:
     summaries: tuple[KernelScanSummary, ...]
 
 
-def epsilon_rank_profile(
-    g: GramMatrix,
-    thresholds=(DEFAULT_EPSILON,),
-    n: int | None = None,
-) -> RankProfile:
-    """Rank at each threshold: numerical_rank of the spectrum at epsilon.
-
-    Thresholds must be strictly descending and positive.  Pass the ambient
-    dimension n to attach the polynomial ceiling as theoretical_dim.  The
-    full spectrum rides along for inspection.
-    """
-    thresholds = tuple(float(e) for e in thresholds)
-    spectrum = g.spectrum()
-    ranks = tuple(numerical_rank(spectrum, eps) for eps in thresholds)
-    dim = None
-    if n is not None and g.kernel.is_polynomial:
-        dim = embedding_dim(g.kernel, n)
-    return RankProfile(
-        kernel=g.kernel,
-        m=g.m,
-        n=n,
-        thresholds=thresholds,
-        ranks=ranks,
-        theoretical_dim=dim,
-        spectrum=spectrum,
-    )
-
-
 def rank_scan(
     kernel_family,
     n: int,
@@ -140,20 +84,14 @@ def rank_scan(
     kernels = tuple(kernel_family)
     if not kernels:
         raise InvalidScanError("kernel family is empty")
-    for name, value in (("n", n), ("m", m), ("trials", trials), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InvalidScanError(f"{name} must be an integer, got {value!r}")
-    if trials < 1:
-        raise InvalidScanError("need at least one trial")
-    if n < 1 or m < 1:
-        raise InvalidScanError("need n >= 1 and m >= 1")
-    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
-        raise InvalidScanError(f"epsilon must be a number, got {epsilon!r}")
+    n = check_int("n", n, 1, error=InvalidScanError)
+    m = check_int("m", m, 1, error=InvalidScanError)
+    trials = check_int("trials", trials, 1, error=InvalidScanError)
+    seed = check_int("seed", seed, 0, 2**64 - 1, InvalidScanError)
     # Below ~1e3 machine epsilons, eigenvalue ratios are eigensolver rounding noise.
-    # Python floats compare exactly with any int, so float() below cannot overflow.
-    if not 1e3 * sys.float_info.epsilon <= epsilon <= sys.float_info.max:
-        raise InvalidScanError("epsilon must be finite and >= 1e3 machine epsilons")
-    epsilon = float(epsilon)
+    epsilon = check_real(
+        "epsilon", epsilon, 1e3 * sys.float_info.epsilon, error=InvalidScanError
+    )
     dims = {}
     for spec in kernels:
         if spec.is_polynomial:
@@ -184,7 +122,7 @@ def rank_scan(
             )
     summaries = []
     for spec in kernels:
-        median = float(statistics.median(ranks_by_kernel[spec]))
+        median = float(np.median(ranks_by_kernel[spec]))
         dim = dims.get(spec)
         summaries.append(
             KernelScanSummary(
@@ -216,12 +154,13 @@ def _kernel_columns(spec: KernelSpec):
 
 
 def scan_csv(result: ScanResult) -> str:
-    """One CSV row per (kernel, trial); fixed header and formatting."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    """One CSV row per (kernel, trial); fixed header and formatting.
+
+    No field can hold a comma, a quote or a newline, so none is quoted.
+    """
+    lines = [",".join(CSV_HEADER)]
     for row in result.rows:
-        writer.writerow(
+        lines.append(",".join(
             _kernel_columns(row.kernel)
             + (
                 str(row.trial),
@@ -229,8 +168,8 @@ def scan_csv(result: ScanResult) -> str:
                 str(row.rank),
                 "" if row.theoretical_dim is None else str(row.theoretical_dim),
             )
-        )
-    return out.getvalue()
+        ))
+    return "\n".join(lines) + "\n"
 
 
 def scan_summary_dict(result: ScanResult) -> dict:

@@ -25,6 +25,7 @@ import tempfile
 import numpy as np
 
 from .bounds import BoundReport
+from .errors import check_int
 from .frames import OptimizeResult
 from .kernels import VectorSet
 
@@ -145,10 +146,7 @@ def vector_set_from_dict(doc) -> VectorSet:
         if key not in doc:
             raise ValueError(f"vector-set document missing {key!r}")
     field = doc["field"]
-    m, n = doc["m"], doc["n"]
-    for name, value in (("m", m), ("n", n)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"{name} must be a positive integer")
+    m, n = check_int("m", doc["m"], 1), check_int("n", doc["n"], 1)
     rows = doc["vectors"]
     if not isinstance(rows, list) or len(rows) != m:
         raise ValueError("vectors must be a list of m rows")

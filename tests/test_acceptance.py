@@ -30,7 +30,6 @@ from welchkit.features import (
 )
 from welchkit.frames import (
     OptimizerConfig,
-    frame_potential,
     minimize_frame_potential,
     orthonormal_frame,
     potential_gradient,
@@ -144,8 +143,8 @@ def _fd_gradient(vs, p, h=1e-6):
                 minus = base.copy()
                 plus[i, k] += h * unit
                 minus[i, k] -= h * unit
-                fp = frame_potential(VectorSet(plus), p)
-                fm = frame_potential(VectorSet(minus), p)
+                fp = sum_power_lhs(VectorSet(plus), p)
+                fm = sum_power_lhs(VectorSet(minus), p)
                 grad[i, k] += (fp - fm) / (2.0 * h) * unit
     return grad
 

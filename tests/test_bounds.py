@@ -140,7 +140,7 @@ class TestPowerSumReport:
 
 class TestGramRankReport:
     def test_identity_gram_tight(self):
-        g = gram_matrix(KernelSpec.linear(), orthonormal(4))
+        g = gram_matrix(KernelSpec.homogeneous(1), orthonormal(4))
         rep = gram_rank_report(g)
         assert rep.inequality_id == "gram-rank"
         assert rep.lhs == 4.0 and rep.rhs == 4.0
@@ -150,7 +150,7 @@ class TestGramRankReport:
     def test_all_ones_gram_tight(self):
         v = np.array([1.0, 0.0])
         vs = VectorSet(vectors=np.stack([v] * 5), field="real")
-        rep = gram_rank_report(gram_matrix(KernelSpec.linear(), vs))
+        rep = gram_rank_report(gram_matrix(KernelSpec.homogeneous(1), vs))
         assert rep.r == 1
         assert abs(rep.lhs - 25.0) < 1e-9
         assert abs(rep.rhs - 25.0) < 1e-9
@@ -195,10 +195,10 @@ class TestGramRankReport:
 
     def test_tight_iff_equal_nonzero_eigenvalues(self):
         cases = [
-            gram_matrix(KernelSpec.linear(), orthonormal(3)),
-            gram_matrix(KernelSpec.linear(), plane_simplex()),
+            gram_matrix(KernelSpec.homogeneous(1), orthonormal(3)),
+            gram_matrix(KernelSpec.homogeneous(1), plane_simplex()),
             gram_matrix(
-                KernelSpec.linear(),
+                KernelSpec.homogeneous(1),
                 VectorSet(
                     vectors=np.array([[np.sqrt(2), 0.0], [0.0, 1.0]]),
                     field="real",

@@ -1,10 +1,14 @@
 """End-to-end tests for the `welch` command line."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import welchkit
 from welchkit import cli, errors
 from welchkit.cli import main
 from welchkit.serialize import parse_json, read_vector_set
@@ -566,3 +570,42 @@ def test_every_error_class_exits_with_its_code(monkeypatch, capsys):
         got, _, err = run(capsys, "gen", "simplex", "--n", "2")
         assert got == code, cls.__name__
         assert err == "error: injected\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("gen", "random", "--m", "100000000000", "--n", "8", "--out", "F"),
+                     id="gen-random"),
+        pytest.param(("optimize", "--m", "100000000000", "--n", "8", "--p", "2",
+                      "--out", "F"), id="optimize"),
+        pytest.param(("rank-scan", "--config", "scan.json"), id="rank-scan"),
+    ],
+)
+def test_unallocatable_size_is_argument_error(tmp_path, monkeypatch, capsys, argv):
+    """numpy refuses a 5.8 TiB draw at once: exit 2, nothing allocated or written."""
+    monkeypatch.chdir(tmp_path)
+    config = {"kernels": [{"variant": "homogeneous", "p": 1}], "n": 8,
+              "m": 100000000000, "trials": 1, "seed": 0, "csv_out": "F"}
+    (tmp_path / "scan.json").write_text(json.dumps(config))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "allocate" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
+
+
+def test_import_loads_no_unused_stdlib_modules():
+    """The CLI import pulls in none of fractions, statistics, decimal or csv."""
+    src = os.path.dirname(os.path.dirname(welchkit.__file__))
+    code = (
+        "import sys, welchkit.cli; "
+        "print(sorted({'fractions', 'statistics', 'decimal', 'csv'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -1,4 +1,4 @@
-"""Feature maps: monomial bases, symmetric embeddings, and D^H D = G."""
+"""Feature maps: monomial order, symmetric embeddings, and D^H D = G."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from welchkit.features import (
     embed_shifted,
     embedding_dim,
     feature_matrix,
-    monomial_basis,
     multinomial,
 )
 from welchkit.kernels import KernelSpec, VectorSet, eval_kernel, gram_matrix
@@ -36,6 +35,9 @@ class TestBinomial:
     def test_overflow_past_int64(self):
         with pytest.raises(CombinatorialOverflowError):
             binomial(200, 100)
+        # Rejected without computing a number of 2^61 digits.
+        with pytest.raises(CombinatorialOverflowError):
+            binomial(2**62, 2**61)
 
     def test_multinomial(self):
         assert multinomial(2, (2, 0)) == 1
@@ -45,43 +47,66 @@ class TestBinomial:
             multinomial(3, (1, 1))
 
 
+def lex_descending_multi_indices(n, p):
+    """Degree-p multi-indices over n variables, (p, 0, ..., 0) first."""
+    if n == 1:
+        return [(p,)]
+    return [
+        (a,) + rest
+        for a in range(p, -1, -1)
+        for rest in lex_descending_multi_indices(n - 1, p - a)
+    ]
+
+
 class TestMonomialBasis:
+    """The monomial order and the basis cap, seen through the embedding."""
+
     def test_degree_one(self):
-        assert monomial_basis(2, 1) == [(1, 0), (0, 1)]
+        x = np.array([2.0, 3.0 - 1.0j])
+        assert np.array_equal(embed_homogeneous(x, 1), x)
 
     def test_degree_two(self):
-        assert monomial_basis(2, 2) == [(2, 0), (1, 1), (0, 2)]
+        # phi((a, b)) = (a^2, sqrt(2) a b, b^2)
+        a, b = 2.0, 3.0
+        got = embed_homogeneous(np.array([a, b]), 2)
+        assert np.allclose(got, [a * a, np.sqrt(2) * a * b, b * b], rtol=1e-15, atol=0)
 
     def test_three_variables_degree_two_length(self):
-        assert len(monomial_basis(3, 2)) == 6
+        assert embed_homogeneous(np.ones(3), 2).shape == (6,)
 
     def test_lengths_match_dimension_formula(self):
         for n in range(1, 6):
             for p in range(1, 5):
-                basis = monomial_basis(n, p)
-                assert len(basis) == binomial(n + p - 1, p)
-                assert all(sum(alpha) == p for alpha in basis)
-                assert len(set(basis)) == len(basis)
+                fm = feature_matrix(KernelSpec.homogeneous(p), VectorSet(np.ones((1, n))))
+                assert fm.feature_dim == binomial(n + p - 1, p)
+                assert fm.feature_dim == embedding_dim(KernelSpec.homogeneous(p), n)
 
     def test_lexicographic_descending(self):
-        basis = monomial_basis(4, 3)
-        assert basis == sorted(basis, reverse=True)
+        rng = np.random.default_rng(30)
+        for n, p in ((2, 3), (3, 2), (4, 3)):
+            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            want = [
+                np.sqrt(multinomial(p, alpha)) * np.prod(x ** np.array(alpha))
+                for alpha in lex_descending_multi_indices(n, p)
+            ]
+            assert np.allclose(embed_homogeneous(x, p), want, rtol=1e-13, atol=0)
 
     def test_large_n_no_recursion_limit(self):
-        basis = monomial_basis(1200, 1)
-        assert len(basis) == 1200
-        assert basis[0][0] == 1 and basis[-1][-1] == 1
+        first, last = np.eye(1200)[0], np.eye(1200)[-1]
+        assert np.array_equal(embed_homogeneous(first, 1), first)
+        assert np.array_equal(embed_homogeneous(last, 1), last)
 
     def test_cap_enforced(self):
         assert binomial(100 + 5 - 1, 5) > BASIS_CAP == 10**6
+        assert embedding_dim(KernelSpec.homogeneous(5), 100) == binomial(104, 5)
         with pytest.raises(CombinatorialOverflowError):
-            monomial_basis(100, 5)
+            feature_matrix(KernelSpec.homogeneous(5), VectorSet(np.ones((1, 100))))
 
     def test_rejects_degenerate_arguments(self):
         with pytest.raises(ValueError):
-            monomial_basis(0, 2)
+            embed_homogeneous(np.ones(2), 0)
         with pytest.raises(ValueError):
-            monomial_basis(2, 0)
+            embed_homogeneous(np.ones(0), 2)
 
 
 class TestEmbedHomogeneous:
@@ -190,7 +215,7 @@ class TestEmbeddingDim:
     def test_polynomial_dimensions(self):
         assert embedding_dim(KernelSpec.homogeneous(2), 3) == 6
         assert embedding_dim(KernelSpec.shifted(2, 1.0), 2) == 6
-        assert embedding_dim(KernelSpec.linear(), 7) == 7
+        assert embedding_dim(KernelSpec.homogeneous(1), 7) == 7
 
     def test_gaussian_unsupported(self):
         with pytest.raises(UnsupportedKernelError):
@@ -200,7 +225,7 @@ class TestEmbeddingDim:
 class TestFeatureMatrix:
     def test_orthonormal_basis_identity(self):
         vs = VectorSet(vectors=np.eye(3), field="real")
-        fm = feature_matrix(KernelSpec.linear(), vs)
+        fm = feature_matrix(KernelSpec.homogeneous(1), vs)
         assert np.array_equal(fm.matrix, np.eye(3))
         assert np.array_equal(fm.reconstructed_gram(), np.eye(3))
 
@@ -208,7 +233,7 @@ class TestFeatureMatrix:
         rng = np.random.default_rng(35)
         vs = random_vectors(rng, 7, 3)
         for spec in (
-            KernelSpec.linear(),
+            KernelSpec.homogeneous(1),
             KernelSpec.homogeneous(2),
             KernelSpec.shifted(2, 1.0),
             KernelSpec.shifted(3, 0.5),

@@ -9,7 +9,6 @@ from welchkit.errors import InvalidConfigError, NumericalError
 from welchkit.frames import (
     OptimizeResult,
     OptimizerConfig,
-    frame_potential,
     minimize_frame_potential,
     orthonormal_frame,
     potential_gradient,
@@ -29,8 +28,8 @@ def fd_gradient(x, p, h=1e-6):
                 xp[i, k] += h * unit
                 xm = x.copy()
                 xm[i, k] -= h * unit
-                fp = frame_potential(VectorSet(vectors=xp), p)
-                fm = frame_potential(VectorSet(vectors=xm), p)
+                fp = sum_power_lhs(VectorSet(vectors=xp), p)
+                fm = sum_power_lhs(VectorSet(vectors=xm), p)
                 grad[i, k] += (fp - fm) / (2 * h) * unit
     return grad
 
@@ -106,11 +105,6 @@ class TestSimplexFrame:
 
 
 class TestPotentialAndGradient:
-    def test_alias_matches_power_sum(self):
-        vs = random_unit_vectors(5, 3, seed=7)
-        for p in (1, 2):
-            assert frame_potential(vs, p) == sum_power_lhs(vs, p)
-
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_gradient_matches_finite_differences(self, p):
         rng = np.random.default_rng(71)

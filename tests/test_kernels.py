@@ -21,7 +21,7 @@ E2 = np.array([0.0, 1.0])
 
 def all_variants():
     return [
-        KernelSpec.linear(),
+        KernelSpec.homogeneous(1),
         KernelSpec.homogeneous(2),
         KernelSpec.homogeneous(3),
         KernelSpec.shifted(1, 1.0),
@@ -118,9 +118,6 @@ class TestEvalKernel:
 
 
 class TestKernelSpecValidation:
-    def test_linear_is_homogeneous_degree_one(self):
-        assert KernelSpec.linear() == KernelSpec.homogeneous(1)
-
     def test_rejects_degree_zero(self):
         with pytest.raises(ValueError):
             KernelSpec.homogeneous(0)
@@ -190,13 +187,13 @@ class TestVectorSet:
 class TestGramMatrix:
     def test_orthonormal_basis_linear_kernel_identity(self):
         vs = VectorSet(vectors=np.eye(4), field="real")
-        g = gram_matrix(KernelSpec.linear(), vs)
+        g = gram_matrix(KernelSpec.homogeneous(1), vs)
         assert np.array_equal(g.matrix, np.eye(4))
 
     def test_repeated_vector_all_ones(self):
         v = np.array([0.6, 0.8])
         vs = VectorSet(vectors=np.stack([v] * 5), field="real")
-        g = gram_matrix(KernelSpec.linear(), vs)
+        g = gram_matrix(KernelSpec.homogeneous(1), vs)
         assert np.allclose(g.matrix, np.ones((5, 5)), atol=1e-15)
 
     def test_plane_simplex_gram(self):
@@ -204,7 +201,7 @@ class TestGramMatrix:
         ang = 2 * np.pi / 3
         rows = [[np.cos(k * ang), np.sin(k * ang)] for k in range(3)]
         vs = VectorSet(vectors=np.array(rows), field="real")
-        g = gram_matrix(KernelSpec.linear(), vs).matrix
+        g = gram_matrix(KernelSpec.homogeneous(1), vs).matrix
         assert np.allclose(np.diag(g), 1.0, atol=1e-15)
         off = g[~np.eye(3, dtype=bool)]
         assert np.allclose(off, -0.5, atol=1e-15)
@@ -265,13 +262,13 @@ class TestGramMatrix:
 
     def test_spectrum_cached(self):
         vs = VectorSet(vectors=np.eye(3), field="real")
-        g = gram_matrix(KernelSpec.linear(), vs)
+        g = gram_matrix(KernelSpec.homogeneous(1), vs)
         assert g.spectrum() is g.spectrum()
 
     def test_rank_of_identity_gram(self):
         vs = VectorSet(vectors=np.eye(5), field="real")
-        assert gram_matrix(KernelSpec.linear(), vs).rank() == 5
+        assert gram_matrix(KernelSpec.homogeneous(1), vs).rank() == 5
 
     def test_rejects_negative_diagonal(self):
         with pytest.raises(ValueError):
-            GramMatrix(matrix=np.diag([1.0, -1.0]), kernel=KernelSpec.linear())
+            GramMatrix(matrix=np.diag([1.0, -1.0]), kernel=KernelSpec.homogeneous(1))

@@ -1,16 +1,16 @@
-"""Epsilon-rank profiles and kernel-family rank scans."""
+"""Epsilon ranks and kernel-family rank scans."""
 
 import numpy as np
 import pytest
 
 from helpers import random_vectors
-from welchkit.errors import InvalidScanError
+from welchkit.errors import InvalidScanError, UnsupportedKernelError
+from welchkit.features import embedding_dim
 from welchkit.kernels import KernelSpec, VectorSet, gram_matrix
+from welchkit.linalg import numerical_rank
 from welchkit.rank_scan import (
     CSV_HEADER,
     DEFAULT_EPSILON,
-    RankProfile,
-    epsilon_rank_profile,
     rank_scan,
     scan_csv,
     scan_summary_dict,
@@ -20,61 +20,46 @@ from welchkit.serialize import format_float
 
 def identity_gram(n):
     vs = VectorSet(vectors=np.eye(n), field="real")
-    return gram_matrix(KernelSpec.linear(), vs)
+    return gram_matrix(KernelSpec.homogeneous(1), vs)
+
+
+def ranks(g, thresholds):
+    """numerical_rank of the Gram spectrum at each threshold."""
+    return [numerical_rank(g.spectrum(), eps) for eps in thresholds]
 
 
 class TestEpsilonRankProfile:
     def test_identity_full_rank_at_every_threshold(self):
-        profile = epsilon_rank_profile(identity_gram(5), (1e-2, 1e-4, 1e-8))
-        assert profile.ranks == (5, 5, 5)
-        assert profile.thresholds == (1e-2, 1e-4, 1e-8)
+        assert ranks(identity_gram(5), (1e-2, 1e-4, 1e-8)) == [5, 5, 5]
 
     def test_all_ones_rank_one(self):
         v = np.array([1.0, 0.0])
         vs = VectorSet(vectors=np.stack([v] * 6), field="real")
-        g = gram_matrix(KernelSpec.linear(), vs)
-        assert epsilon_rank_profile(g).ranks == (1,)
+        g = gram_matrix(KernelSpec.homogeneous(1), vs)
+        assert ranks(g, (DEFAULT_EPSILON,)) == [1]
 
     def test_gaussian_profile_monotone(self):
         rng = np.random.default_rng(91)
         vs = random_vectors(rng, 30, 2, unit=True)
         g = gram_matrix(KernelSpec.gaussian(1.0), vs)
-        profile = epsilon_rank_profile(g, (1e-2, 1e-4, 1e-8))
-        assert profile.ranks[0] <= profile.ranks[1] <= profile.ranks[2]
-        assert profile.spectrum.values.shape == (30,)
-        assert profile.theoretical_dim is None
+        got = ranks(g, (1e-2, 1e-4, 1e-8))
+        assert got[0] <= got[1] <= got[2]
+        assert g.spectrum().values.shape == (30,)
+        with pytest.raises(UnsupportedKernelError):
+            embedding_dim(g.kernel, 2)
 
     def test_polynomial_ceiling_metadata(self):
         rng = np.random.default_rng(92)
         vs = random_vectors(rng, 8, 3)
         g = gram_matrix(KernelSpec.homogeneous(2), vs)
-        with_n = epsilon_rank_profile(g, n=3)
-        assert with_n.theoretical_dim == 6
-        without_n = epsilon_rank_profile(g)
-        assert without_n.theoretical_dim is None
+        assert embedding_dim(g.kernel, 3) == 6
+        assert ranks(g, (DEFAULT_EPSILON,)) == [6]
 
     def test_rejects_bad_thresholds(self):
-        g = identity_gram(2)
-        with pytest.raises(ValueError):
-            epsilon_rank_profile(g, (1e-8, 1e-4))
-        with pytest.raises(ValueError):
-            epsilon_rank_profile(g, (0.0,))
-        with pytest.raises(ValueError):
-            epsilon_rank_profile(g, ())
-
-    def test_profile_invariant_validation(self):
-        g = identity_gram(2)
-        base = epsilon_rank_profile(g, (1e-2, 1e-8))
-        with pytest.raises(ValueError):
-            RankProfile(
-                kernel=base.kernel,
-                m=base.m,
-                n=None,
-                thresholds=(1e-2, 1e-8),
-                ranks=(2, 1),
-                theoretical_dim=None,
-                spectrum=base.spectrum,
-            )
+        spectrum = identity_gram(2).spectrum()
+        for bad in (-1.0, float("nan"), np.inf, 10**400, True, "1e-8", None):
+            with pytest.raises(ValueError, match="rel_tol"):
+                numerical_rank(spectrum, bad)
 
 
 class TestPolynomialCeiling:
@@ -88,9 +73,8 @@ class TestPolynomialCeiling:
         for trial in range(50):
             spec, n, dim = cases[trial % len(cases)]
             vs = random_vectors(rng, dim + 5, n)
-            profile = epsilon_rank_profile(gram_matrix(spec, vs), n=n)
-            assert profile.theoretical_dim == dim
-            assert profile.ranks[0] == dim
+            assert embedding_dim(spec, n) == dim
+            assert ranks(gram_matrix(spec, vs), (DEFAULT_EPSILON,)) == [dim]
 
 
 class TestRankScan:
@@ -133,13 +117,13 @@ class TestRankScan:
         with pytest.raises(InvalidScanError):
             rank_scan([], n=2, m=8, trials=2, seed=0)
         with pytest.raises(InvalidScanError):
-            rank_scan([KernelSpec.linear()], n=2, m=8, trials=0, seed=0)
+            rank_scan([KernelSpec.homogeneous(1)], n=2, m=8, trials=0, seed=0)
         with pytest.raises(InvalidScanError):
-            rank_scan([KernelSpec.linear()], n=2, m=8, trials=2, seed=0, epsilon=0.0)
+            rank_scan([KernelSpec.homogeneous(1)], n=2, m=8, trials=2, seed=0, epsilon=0.0)
         with pytest.raises(InvalidScanError):
-            rank_scan([KernelSpec.linear()], n=2, m=8, trials=2, seed=0, epsilon=np.inf)
+            rank_scan([KernelSpec.homogeneous(1)], n=2, m=8, trials=2, seed=0, epsilon=np.inf)
         with pytest.raises(InvalidScanError):
-            rank_scan([KernelSpec.linear()], n=2, m=8, trials=2, seed=0, epsilon=10**400)
+            rank_scan([KernelSpec.homogeneous(1)], n=2, m=8, trials=2, seed=0, epsilon=10**400)
 
 
 class TestScanSerialization:
