@@ -21,7 +21,7 @@ Double sums always include the diagonal i = j terms.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     WelchKitError,
     check_int,
 )
-from .features import binomial
+from .features import embedding_dim
 from .kernels import GramMatrix, KernelSpec, VectorSet, inner_table, power_sum
 from .linalg import frobenius_norm_sq, trace
 
@@ -61,6 +61,7 @@ class CoherenceBound(NamedTuple):
 class BoundReport:
     """One inequality instance: both sides, slack, verdicts, and metadata.
 
+    slack, holds and tight are derived from lhs and rhs on construction.
     m, n, p, c, r are filled where applicable, None otherwise.  vacuous is
     set only by coherence reports; rhs_unit only by shifted reports on
     unit-norm sets (the simplified rhs recorded alongside the general one).
@@ -69,9 +70,9 @@ class BoundReport:
     inequality_id: str
     lhs: float
     rhs: float
-    slack: float
-    holds: bool
-    tight: bool
+    slack: float = field(init=False)
+    holds: bool = field(init=False)
+    tight: bool = field(init=False)
     m: int | None = None
     n: int | None = None
     p: int | None = None
@@ -81,46 +82,32 @@ class BoundReport:
     rhs_unit: float | None = None
 
     def __post_init__(self):
-        if self.slack != self.lhs - self.rhs:
-            raise ValueError("slack must equal lhs - rhs")
-        scale = max(1.0, abs(self.rhs))
-        if self.holds != (self.slack >= -CHECK_TOL * scale):
-            raise ValueError("holds flag inconsistent with slack")
-        if self.tight and not self.holds:
-            raise ValueError("tight requires holds")
+        lhs, rhs = float(self.lhs), float(self.rhs)
+        if not (np.isfinite(lhs) and np.isfinite(rhs)):
+            raise NumericalError(
+                f"{self.inequality_id}: lhs {lhs} or rhs {rhs} is not finite"
+            )
+        slack = lhs - rhs
+        scale = max(1.0, abs(rhs))
+        holds = slack >= -CHECK_TOL * scale
+        tight = holds and abs(slack) <= TIGHT_TOL * scale
+        for name, value in (
+            ("lhs", lhs), ("rhs", rhs), ("slack", slack), ("holds", holds), ("tight", tight)
+        ):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         """Flat dict of every field, in declaration order."""
         return asdict(self)
 
 
-def _build(inequality_id, lhs, rhs, **metadata) -> BoundReport:
-    lhs = float(lhs)
-    rhs = float(rhs)
-    if not (np.isfinite(lhs) and np.isfinite(rhs)):
-        raise NumericalError(f"{inequality_id}: lhs {lhs} or rhs {rhs} is not finite")
-    slack = lhs - rhs
-    scale = max(1.0, abs(rhs))
-    holds = slack >= -CHECK_TOL * scale
-    tight = holds and abs(slack) <= TIGHT_TOL * scale
-    return BoundReport(
-        inequality_id=inequality_id,
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        holds=holds,
-        tight=tight,
-        **metadata,
-    )
-
-
 def _require_unit_norms(vs: VectorSet, tol: float):
-    devs = np.abs(vs.norms() - 1.0)
+    norms = vs.norms()
+    devs = np.abs(norms - 1.0)
     if np.max(devs) > tol:
         worst = int(np.argmax(devs))
         raise NotUnitNormError(
-            f"vector {worst} has norm {vs.norms()[worst]:.12g}, "
-            f"outside 1 +/- {tol:g}"
+            f"vector {worst} has norm {norms[worst]:.12g}, outside 1 +/- {tol:g}"
         )
 
 
@@ -142,7 +129,7 @@ def welch_coherence_bound(m: int, n: int, p: int) -> CoherenceBound:
     p = check_int("degree p", p, 1)
     if m < 2:
         raise TooFewVectorsError("coherence bound needs m >= 2")
-    denom = binomial(n + p - 1, p)
+    denom = embedding_dim(KernelSpec.homogeneous(p), n)
     if m - denom <= 0:
         return CoherenceBound(0.0, True)
     # int / int true division is correctly rounded.
@@ -161,7 +148,7 @@ def welch_sum_bound(m: int, n: int, p: int) -> float:
     m = check_int("m", m, 1)
     n = check_int("n", n, 1)
     p = check_int("degree p", p, 1)
-    return m * m / binomial(n + p - 1, p)
+    return m * m / embedding_dim(KernelSpec.homogeneous(p), n)
 
 
 def power_sum_report(vs: VectorSet, p: int) -> BoundReport:
@@ -169,7 +156,7 @@ def power_sum_report(vs: VectorSet, p: int) -> BoundReport:
     _require_unit_norms(vs, UNIT_NORM_TOL)
     lhs = sum_power_lhs(vs, p)
     rhs = welch_sum_bound(vs.m, vs.n, p)
-    return _build("power-sum", lhs, rhs, m=vs.m, n=vs.n, p=p)
+    return BoundReport("power-sum", lhs, rhs, m=vs.m, n=vs.n, p=p)
 
 
 def gram_rank_report(g: GramMatrix) -> BoundReport:
@@ -183,7 +170,7 @@ def gram_rank_report(g: GramMatrix) -> BoundReport:
     tr = float(trace(g.matrix).real)
     rhs = tr * tr / r if r > 0 else 0.0
     kernel = g.kernel
-    return _build(
+    return BoundReport(
         "gram-rank",
         lhs,
         rhs,
@@ -208,8 +195,8 @@ def generalized_report(vs: VectorSet, p: int) -> BoundReport:
         raise AllZeroVectorsError("ratio undefined: every vector is zero")
     scaled = VectorSet(vs.vectors / scale)
     lhs = sum_power_lhs(scaled, p) / float(np.sum(scaled.norms() ** (2 * p))) ** 2
-    rhs = 1.0 / binomial(vs.n + p - 1, p)
-    return _build("generalized", lhs, rhs, m=vs.m, n=vs.n, p=p)
+    rhs = 1.0 / embedding_dim(KernelSpec.homogeneous(p), vs.n)
+    return BoundReport("generalized", lhs, rhs, m=vs.m, n=vs.n, p=p)
 
 
 def shifted_report(vs: VectorSet, p: int, c: float) -> BoundReport:
@@ -222,9 +209,10 @@ def shifted_report(vs: VectorSet, p: int, c: float) -> BoundReport:
     m^2 (1+c)^(2p) / C(n+p, p) is recorded as rhs_unit and cross-checked
     against the general rhs.
     """
-    c = KernelSpec.shifted(p, c).c
+    spec = KernelSpec.shifted(p, c)
+    c = spec.c
     lhs = power_sum(inner_table(vs.vectors) + c, p)
-    denom = binomial(vs.n + p, p)
+    denom = embedding_dim(spec, vs.n)
     norm_sq = vs.norms() ** 2
     rhs = float(np.sum((norm_sq + c) ** p)) ** 2 / denom
     rhs_unit = None
@@ -234,19 +222,20 @@ def shifted_report(vs: VectorSet, p: int, c: float) -> BoundReport:
             raise WelchKitError(
                 "unit-norm shifted rhs disagrees with the general form"
             )
-    return _build(
+    return BoundReport(
         "shifted", lhs, rhs, m=vs.m, n=vs.n, p=p, c=c, rhs_unit=rhs_unit
     )
 
 
 def shifted_unit_report(vs: VectorSet, p: int, c: float) -> BoundReport:
     """Unit-norm form of the shifted bound: rhs = m^2 (1+c)^(2p) / C(n+p, p)."""
-    c = KernelSpec.shifted(p, c).c
+    spec = KernelSpec.shifted(p, c)
+    c = spec.c
     _require_unit_norms(vs, UNIT_NORM_TOL)
     lhs = power_sum(inner_table(vs.vectors) + c, p)
-    denom = binomial(vs.n + p, p)
+    denom = embedding_dim(spec, vs.n)
     rhs = vs.m**2 * (1.0 + c) ** (2 * p) / denom
-    return _build(
+    return BoundReport(
         "shifted-unit", lhs, rhs, m=vs.m, n=vs.n, p=p, c=c, rhs_unit=rhs
     )
 
@@ -259,7 +248,7 @@ def coherence_report(vs: VectorSet, p: int) -> BoundReport:
     _require_unit_norms(vs, UNIT_NORM_TOL)
     lhs = coherence(vs)
     bound = welch_coherence_bound(vs.m, vs.n, p)
-    return _build(
+    return BoundReport(
         "coherence",
         lhs,
         bound.value,

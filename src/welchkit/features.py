@@ -119,15 +119,18 @@ class FeatureMatrix:
 
     matrix: np.ndarray
     kernel: KernelSpec
-    ambient_dim: int
-    feature_dim: int
 
     def __post_init__(self):
         a = np.array(self.matrix, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != self.feature_dim:
-            raise ValueError("feature matrix rows must equal feature_dim")
+        if a.ndim != 2:
+            raise ValueError("feature matrix must be 2-D")
         a.flags.writeable = False
         object.__setattr__(self, "matrix", a)
+
+    @property
+    def feature_dim(self) -> int:
+        """Rows of D: C(n+p-1, p), or C(n+p, p) for the shifted kernel."""
+        return self.matrix.shape[0]
 
     @property
     def m(self) -> int:
@@ -150,10 +153,4 @@ def feature_matrix(spec: KernelSpec, vs: VectorSet) -> FeatureMatrix:
         )
     else:
         rows = vs.vectors
-    d = _embed_rows(rows, spec.p).T
-    return FeatureMatrix(
-        matrix=d,
-        kernel=spec,
-        ambient_dim=vs.n,
-        feature_dim=d.shape[0],
-    )
+    return FeatureMatrix(matrix=_embed_rows(rows, spec.p).T, kernel=spec)

@@ -7,7 +7,7 @@ table, the same function behind the power-sum lhs.  The minimizer is
 projected gradient descent on the product of unit spheres: ambient
 gradient, tangent projection (radial component removed), step, renormalize.
 Each line search starts from a Barzilai-Borwein step (BB1 and BB2 in turn;
-``step_init`` first and whenever <s, y> <= 0) and halves it until the Armijo
+``STEP_INIT`` first and whenever <s, y> <= 0) and halves it until the Armijo
 test holds with a strict decrease.  A restart stops on ``grad_tol``, when
 the step falls below the floor, or at ``max_iters``.  Each restart starts from
 ``random_unit_vectors`` on its own stream spawned from the master seed, so
@@ -25,6 +25,12 @@ from .bounds import welch_sum_bound
 from .errors import INT64_MAX, InvalidConfigError, NumericalError, check_int, check_real
 from .kernels import VectorSet, inner_table, power_sum
 
+# First trial step, and the fallback when the BB step is undefined.
+STEP_INIT = 0.1
+
+# Armijo sufficient-decrease constant.
+ARMIJO_C = 0.5
+
 # Step sizes below this end the line search (stationary at float precision).
 _STEP_FLOOR = 1e-18
 
@@ -35,8 +41,6 @@ class OptimizerConfig:
 
     p: int
     max_iters: int = 5000
-    step_init: float = 0.1
-    armijo_c: float = 0.5
     grad_tol: float = 1e-8
     restarts: int = 5
     seed: int = 0
@@ -48,11 +52,10 @@ class OptimizerConfig:
         ):
             value = check_int(name, getattr(self, name), lo, hi, InvalidConfigError)
             object.__setattr__(self, name, value)
-        for name, hi in (("step_init", math.inf), ("armijo_c", 1), ("grad_tol", math.inf)):
-            value = check_real(
-                name, getattr(self, name), 0, hi, exclusive=True, error=InvalidConfigError
-            )
-            object.__setattr__(self, name, value)
+        grad_tol = check_real(
+            "grad_tol", self.grad_tol, 0, exclusive=True, error=InvalidConfigError
+        )
+        object.__setattr__(self, "grad_tol", grad_tol)
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,6 @@ class OptimizeResult:
     vectors: VectorSet
     final_potential: float
     bound: float
-    gap: float
-    iterations: int
     trajectory: tuple[float, ...]
 
     def __post_init__(self):
@@ -72,6 +73,16 @@ class OptimizeResult:
         norms = self.vectors.norms()
         if np.max(np.abs(norms - 1.0)) > 1e-12:
             raise ValueError("optimizer iterate left the unit spheres")
+
+    @property
+    def gap(self) -> float:
+        """final_potential - bound."""
+        return self.final_potential - self.bound
+
+    @property
+    def iterations(self) -> int:
+        """Accepted steps of the best restart."""
+        return len(self.trajectory) - 1
 
 
 def random_unit_vectors(
@@ -157,7 +168,7 @@ def _descend(x: np.ndarray, p: int, cfg: OptimizerConfig):
         gnorm_sq = float(np.sum(rgrad.real**2 + rgrad.imag**2))
         if math.sqrt(gnorm_sq) < cfg.grad_tol:
             break
-        step = cfg.step_init
+        step = STEP_INIT
         if x_old is not None:
             # Barzilai-Borwein, the old gradient moved into this tangent space.
             s, y = x - x_old, rgrad - _project_tangent(x, g_old)
@@ -169,7 +180,7 @@ def _descend(x: np.ndarray, p: int, cfg: OptimizerConfig):
             tc = inner_table(candidate)
             fc = power_sum(tc, p)
             # Strict decrease too: at the float floor fc == f passes Armijo.
-            if fc < f and fc <= f - cfg.armijo_c * step * gnorm_sq:
+            if fc < f and fc <= f - ARMIJO_C * step * gnorm_sq:
                 break
             step *= 0.5
             if step < _STEP_FLOOR:
@@ -199,12 +210,9 @@ def minimize_frame_potential(m: int, n: int, cfg: OptimizerConfig) -> OptimizeRe
         if best is None or f < best[1]:
             best = (x, f, trajectory)
     x, f, trajectory = best
-    bound = welch_sum_bound(m, n, cfg.p)
     return OptimizeResult(
         vectors=VectorSet(vectors=x, field="complex"),
         final_potential=f,
-        bound=bound,
-        gap=f - bound,
-        iterations=len(trajectory) - 1,
+        bound=welch_sum_bound(m, n, cfg.p),
         trajectory=tuple(trajectory),
     )

@@ -39,21 +39,25 @@ RANK_RTOL = 1e-8
 class EigenSpectrum:
     """Real eigenvalues sorted descending, plus bookkeeping.
 
-    values: float64 array, non-increasing, length == source_dim.
+    values: 1-D float64 array, non-increasing.
     clamp_applied: True when small negatives were zeroed by clamp_psd.
     """
 
     values: np.ndarray
-    source_dim: int
     clamp_applied: bool = False
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", vals)
-        if vals.shape != (self.source_dim,):
-            raise ValueError("spectrum length must equal source_dim")
+        if vals.ndim != 1:
+            raise ValueError("spectrum must be a 1-D array")
         if vals.size > 1 and np.any(np.diff(vals) > 0):
             raise ValueError("spectrum must be sorted non-increasing")
+
+    @property
+    def source_dim(self) -> int:
+        """Order of the matrix the spectrum came from."""
+        return self.values.shape[0]
 
 
 def as_matrix(m) -> np.ndarray:
@@ -97,7 +101,7 @@ def hermitian_eigenvalues(m) -> EigenSpectrum:
     the trace identities fail afterwards.
     """
     a = as_matrix(m)
-    n = _require_square(a)
+    _require_square(a)
 
     scale = max(1.0, float(np.max(np.abs(a))))
     herm_dev = float(np.max(np.abs(a - a.conj().T)))
@@ -107,8 +111,8 @@ def hermitian_eigenvalues(m) -> EigenSpectrum:
             f"{HERM_RTOL * scale:.3e}"
         )
 
-    tr_re = float(trace(a).real)
-    fro_sq = frobenius_norm_sq(a)
+    tr_re = float(np.trace(a).real)
+    fro_sq = float(np.sum(a.real**2 + a.imag**2))
 
     try:
         values = np.linalg.eigvalsh(0.5 * (a + a.conj().T))[::-1].copy()
@@ -126,7 +130,7 @@ def hermitian_eigenvalues(m) -> EigenSpectrum:
             f"spectral identity failed: sum of squares {sum_sq!r} vs "
             f"squared Frobenius norm {fro_sq!r}"
         )
-    return EigenSpectrum(values=values, source_dim=n, clamp_applied=False)
+    return EigenSpectrum(values=values)
 
 
 def clamp_psd(spectrum: EigenSpectrum, rtol: float = PSD_RTOL) -> EigenSpectrum:
@@ -147,8 +151,7 @@ def clamp_psd(spectrum: EigenSpectrum, rtol: float = PSD_RTOL) -> EigenSpectrum:
         )
     if min_val < 0.0:
         clamped = np.where(vals < 0.0, 0.0, vals)
-        return EigenSpectrum(values=clamped, source_dim=spectrum.source_dim,
-                             clamp_applied=True)
+        return EigenSpectrum(values=clamped, clamp_applied=True)
     return spectrum
 
 

@@ -39,7 +39,13 @@ class KernelScanSummary:
     kernel: KernelSpec
     median_rank: float
     theoretical_dim: int | None
-    saturated: bool | None
+
+    @property
+    def saturated(self) -> bool | None:
+        """median_rank == theoretical_dim; None without a polynomial ceiling."""
+        if self.theoretical_dim is None:
+            return None
+        return self.median_rank == self.theoretical_dim
 
 
 @dataclass(frozen=True)
@@ -48,9 +54,7 @@ class ScanRow:
 
     kernel: KernelSpec
     trial: int
-    epsilon: float
     rank: int
-    theoretical_dim: int | None
 
 
 @dataclass(frozen=True)
@@ -111,27 +115,15 @@ def rank_scan(
         for spec in kernels:
             rank = numerical_rank(gram_matrix(spec, vs).spectrum(), epsilon)
             ranks_by_kernel[spec].append(rank)
-            rows.append(
-                ScanRow(
-                    kernel=spec,
-                    trial=trial,
-                    epsilon=epsilon,
-                    rank=rank,
-                    theoretical_dim=dims.get(spec),
-                )
-            )
-    summaries = []
-    for spec in kernels:
-        median = float(np.median(ranks_by_kernel[spec]))
-        dim = dims.get(spec)
-        summaries.append(
-            KernelScanSummary(
-                kernel=spec,
-                median_rank=median,
-                theoretical_dim=dim,
-                saturated=None if dim is None else median == dim,
-            )
+            rows.append(ScanRow(kernel=spec, trial=trial, rank=rank))
+    summaries = [
+        KernelScanSummary(
+            kernel=spec,
+            median_rank=float(np.median(ranks_by_kernel[spec])),
+            theoretical_dim=dims.get(spec),
         )
+        for spec in kernels
+    ]
     return ScanResult(
         n=n,
         m=m,
@@ -158,16 +150,14 @@ def scan_csv(result: ScanResult) -> str:
 
     No field can hold a comma, a quote or a newline, so none is quoted.
     """
+    dims = {s.kernel: s.theoretical_dim for s in result.summaries}
+    epsilon = format_float(result.epsilon)
     lines = [",".join(CSV_HEADER)]
     for row in result.rows:
+        dim = dims[row.kernel]
         lines.append(",".join(
             _kernel_columns(row.kernel)
-            + (
-                str(row.trial),
-                format_float(row.epsilon),
-                str(row.rank),
-                "" if row.theoretical_dim is None else str(row.theoretical_dim),
-            )
+            + (str(row.trial), epsilon, str(row.rank), "" if dim is None else str(dim))
         ))
     return "\n".join(lines) + "\n"
 

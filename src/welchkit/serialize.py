@@ -24,7 +24,6 @@ import tempfile
 
 import numpy as np
 
-from .bounds import BoundReport
 from .errors import check_int
 from .frames import OptimizeResult
 from .kernels import VectorSet
@@ -180,18 +179,6 @@ def read_vector_set(path: str) -> VectorSet:
         return vector_set_from_dict(parse_json(handle.read()))
 
 
-def bound_report_from_dict(doc) -> BoundReport:
-    if not isinstance(doc, dict):
-        raise ValueError("bound report must be a JSON object")
-    fields = {
-        "inequality_id", "lhs", "rhs", "slack", "holds", "tight",
-        "m", "n", "p", "c", "r", "vacuous", "rhs_unit",
-    }
-    if set(doc) != fields:
-        raise ValueError("bound report keys do not match the schema")
-    return BoundReport(**doc)
-
-
 def optimize_result_to_dict(res: OptimizeResult) -> dict:
     return {
         "vectors": vector_set_to_dict(res.vectors),
@@ -201,19 +188,3 @@ def optimize_result_to_dict(res: OptimizeResult) -> dict:
         "iterations": res.iterations,
         "trajectory": list(res.trajectory),
     }
-
-
-def optimize_result_from_dict(doc) -> OptimizeResult:
-    if not isinstance(doc, dict):
-        raise ValueError("optimizer result must be a JSON object")
-    fields = {"vectors", "final_potential", "bound", "gap", "iterations", "trajectory"}
-    if set(doc) != fields:
-        raise ValueError("optimizer result keys do not match the schema")
-    return OptimizeResult(
-        vectors=vector_set_from_dict(doc["vectors"]),
-        final_potential=float(doc["final_potential"]),
-        bound=float(doc["bound"]),
-        gap=float(doc["gap"]),
-        iterations=int(doc["iterations"]),
-        trajectory=tuple(float(v) for v in doc["trajectory"]),
-    )

@@ -20,6 +20,7 @@ from welchkit.bounds import (
 from welchkit.errors import (
     AllZeroVectorsError,
     NotUnitNormError,
+    NumericalError,
     TooFewVectorsError,
 )
 from welchkit.features import binomial
@@ -394,27 +395,33 @@ class TestInvarianceUnderUnitaries:
 
 
 class TestBoundReportValidation:
-    def test_rejects_inconsistent_slack(self):
-        with pytest.raises(ValueError):
-            BoundReport(
-                inequality_id="power-sum",
-                lhs=2.0,
-                rhs=1.0,
-                slack=0.5,
-                holds=True,
-                tight=False,
-            )
+    # holds: slack >= -1e-9 max(1, |rhs|); tight: holds and |slack| <= 1e-6 max(1, |rhs|).
+    @pytest.mark.parametrize(
+        "lhs, rhs, holds, tight",
+        [
+            pytest.param(-1e-9, 0.0, True, True, id="holds-edge"),
+            pytest.param(np.nextafter(-1e-9, -1.0), 0.0, False, False,
+                         id="just-below-holds-edge"),
+            pytest.param(1e-6, 0.0, True, True, id="tight-edge"),
+            pytest.param(np.nextafter(1e-6, 1.0), 0.0, True, False,
+                         id="just-past-tight-edge"),
+            pytest.param(1e6 - 5e-4, 1e6, True, True, id="relative-holds"),
+            pytest.param(1e6 - 2e-3, 1e6, False, False, id="relative-violated"),
+            pytest.param(1e6 + 2.0, 1e6, True, False, id="relative-loose"),
+        ],
+    )
+    def test_derives_verdicts(self, lhs, rhs, holds, tight):
+        rep = BoundReport("power-sum", lhs, rhs)
+        assert rep.slack == lhs - rhs
+        assert (rep.holds, rep.tight) == (holds, tight)
+        assert type(rep.lhs) is float and type(rep.holds) is bool
 
-    def test_rejects_tight_without_holds(self):
-        with pytest.raises(ValueError):
-            BoundReport(
-                inequality_id="power-sum",
-                lhs=0.0,
-                rhs=2.0,
-                slack=-2.0,
-                holds=False,
-                tight=True,
-            )
+    @pytest.mark.parametrize(
+        "lhs, rhs", [(np.nan, 1.0), (np.inf, 1.0), (1.0, -np.inf)]
+    )
+    def test_non_finite_side_raises(self, lhs, rhs):
+        with pytest.raises(NumericalError):
+            BoundReport("power-sum", lhs, rhs)
 
     def test_to_dict_field_order(self):
         rep = power_sum_report(plane_simplex(), 1)

@@ -11,6 +11,7 @@ import pytest
 import welchkit
 from welchkit import cli, errors
 from welchkit.cli import main
+from welchkit.features import FeatureMatrix
 from welchkit.serialize import parse_json, read_vector_set
 
 DEEP_JSON = "[" * 10**5 + "]" * 10**5
@@ -288,7 +289,7 @@ class TestOptimize:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["--step-init", "--grad-tol"])
+    @pytest.mark.parametrize("flag", ["--grad-tol"])
     def test_non_finite_config_rejected(self, capsys, flag):
         code, out, err = run(
             capsys, "optimize", "--m", "4", "--n", "2", "--p", "1", flag, "inf"
@@ -470,6 +471,39 @@ class TestEmbedCheck:
         capsys.readouterr()
         code, _, _ = run(capsys, "embed-check", "--in", str(path))
         assert code == 2
+
+    # The gate is max_error < 1e-10 max(1, max |G_ij|): at c = 1e11 the Gram
+    # entries are near 1e22, and an exact map misses them by about 2e6.
+    @pytest.mark.parametrize(
+        "c, perturb, code",
+        [
+            pytest.param("100000000000", 0.0, 0, id="large-shift-exact-map"),
+            pytest.param("100000000000", 1e-6, 4, id="large-shift-perturbed-map"),
+            pytest.param("1.0", 1e-6, 4, id="perturbed-map"),
+        ],
+    )
+    def test_tolerance_scales_with_the_gram(
+        self, tmp_path, capsys, monkeypatch, c, perturb, code
+    ):
+        path = tmp_path / "set.json"
+        run(capsys, "gen", "simplex", "--n", "2", "--out", str(path))
+        capsys.readouterr()
+        exact = cli.feature_matrix
+
+        def perturbed(spec, vs):
+            d = exact(spec, vs).matrix.copy()
+            d[np.unravel_index(np.argmax(np.abs(d)), d.shape)] *= 1.0 + perturb
+            return FeatureMatrix(d, spec)
+
+        monkeypatch.setattr(cli, "feature_matrix", perturbed)
+        got, stdout, err = run(
+            capsys, "embed-check", "--in", str(path), "--p", "2", "--c", c
+        )
+        assert got == code
+        if code == 0:
+            assert stdout.startswith("max_error=") and err == ""
+        else:
+            assert stdout == "" and "does not reproduce the Gram" in err
 
 
 class TestParser:

@@ -124,10 +124,6 @@ class TestOptimizerConfig:
             dict(p=1, max_iters=0),
             dict(p=1, max_iters=2.5),
             dict(p=1, max_iters=True),
-            dict(p=1, step_init=0.0),
-            dict(p=1, step_init=np.inf),
-            dict(p=1, step_init=np.nan),
-            dict(p=1, armijo_c=1.0),
             dict(p=1, grad_tol=0.0),
             dict(p=1, grad_tol=np.inf),
             dict(p=1, restarts=0),
@@ -232,8 +228,6 @@ class TestOptimizeResultValidation:
                 vectors=vs,
                 final_potential=1.0,
                 bound=2.0,
-                gap=-1.0,
-                iterations=0,
                 trajectory=(1.0,),
             )
 
@@ -244,7 +238,5 @@ class TestOptimizeResultValidation:
                 vectors=vs,
                 final_potential=2.0,
                 bound=2.0,
-                gap=0.0,
-                iterations=0,
                 trajectory=(2.0,),
             )

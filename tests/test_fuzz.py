@@ -178,7 +178,7 @@ ARGV_TEMPLATES = [
     ("gen", "simplex", "--n", "3", "--out", "out.json"),
     ("gen", "orthonormal", "--n", "3", "--out", "out.json"),
     ("optimize", "--m", "4", "--n", "2", "--p", "1", "--seed", "0", "--max-iters", "20",
-     "--restarts", "1", "--step-init", "0.1", "--armijo-c", "0.5", "--grad-tol", "1e-8",
+     "--restarts", "1", "--grad-tol", "1e-8",
      "--out", "out.json"),
     ("check", "--in", "set.json", "--inequality", "power-sum", "--p", "2",
      "--out", "out.json"),
@@ -261,7 +261,7 @@ LIBRARY_CALLS = {
     "rank_scan seed": lambda v: rank_scan([KernelSpec.homogeneous(1)], 2, 5, 1, v),
     "rank_scan epsilon": lambda v: rank_scan([KernelSpec.homogeneous(1)], 2, 5, 1, 0, v),
 }
-for field in ("p", "max_iters", "step_init", "armijo_c", "grad_tol", "restarts", "seed"):
+for field in ("p", "max_iters", "grad_tol", "restarts", "seed"):
     LIBRARY_CALLS[f"OptimizerConfig {field}"] = (
         lambda v, field=field: OptimizerConfig(**{"p": 1, field: v})
     )

@@ -145,15 +145,15 @@ class TestFrobeniusNormSq:
 
 class TestNumericalRank:
     def test_rank_one_spectrum(self):
-        spec = EigenSpectrum(np.array([3.0, 0.0, 0.0]), 3)
+        spec = EigenSpectrum(np.array([3.0, 0.0, 0.0]))
         assert numerical_rank(spec) == 1
 
     def test_full_rank_spectrum(self):
-        spec = EigenSpectrum(np.array([1.0, 1.0]), 2)
+        spec = EigenSpectrum(np.array([1.0, 1.0]))
         assert numerical_rank(spec) == 2
 
     def test_zero_matrix_rank_zero(self):
-        spec = EigenSpectrum(np.zeros(5), 5)
+        spec = EigenSpectrum(np.zeros(5))
         assert numerical_rank(spec) == 0
 
     def test_scale_invariance(self):
@@ -161,31 +161,31 @@ class TestNumericalRank:
         for _ in range(20):
             vals = np.sort(np.abs(rng.standard_normal(6)))[::-1]
             vals[4:] *= 1e-12
-            spec = EigenSpectrum(vals, 6)
+            spec = EigenSpectrum(vals)
             base = numerical_rank(spec)
             for t in (1e-7, 0.5, 3.0, 1e9):
-                scaled = EigenSpectrum(vals * t, 6)
+                scaled = EigenSpectrum(vals * t)
                 assert numerical_rank(scaled) == base
 
     def test_policy_threshold(self):
-        spec = EigenSpectrum(np.array([1.0, 1e-4, 1e-12]), 3)
+        spec = EigenSpectrum(np.array([1.0, 1e-4, 1e-12]))
         assert numerical_rank(spec, rel_tol=1e-8) == 2
         assert numerical_rank(spec, rel_tol=1e-2) == 1
 
 
 class TestClampPsd:
     def test_passthrough_when_nonnegative(self):
-        spec = EigenSpectrum(np.array([2.0, 1.0, 0.0]), 3)
+        spec = EigenSpectrum(np.array([2.0, 1.0, 0.0]))
         out = clamp_psd(spec)
         assert out is spec
 
     def test_clamps_roundoff_negatives(self):
-        spec = EigenSpectrum(np.array([1.0, 1e-13, -1e-13]), 3)
+        spec = EigenSpectrum(np.array([1.0, 1e-13, -1e-13]))
         out = clamp_psd(spec)
         assert out.clamp_applied
         assert out.values.tolist() == [1.0, 1e-13, 0.0]
 
     def test_rejects_genuine_negatives(self):
-        spec = EigenSpectrum(np.array([1.0, -0.5]), 2)
+        spec = EigenSpectrum(np.array([1.0, -0.5]))
         with pytest.raises(NotPSDError):
             clamp_psd(spec)

@@ -102,16 +102,12 @@ PROBES = [
                  r"\bm must be an integer", id="sum-bound-float-m"),
     pytest.param(lambda: welch_coherence_bound(4.5, 2, 2), ValueError,
                  r"\bm must be an integer", id="coherence-bound-float-m"),
-    pytest.param(lambda: OptimizerConfig(p=1, step_init="0.1"), InvalidConfigError,
-                 "step_init", id="config-string-step-init"),
     pytest.param(lambda: OptimizerConfig(p=1, grad_tol=None), InvalidConfigError,
                  "grad_tol", id="config-none-grad-tol"),
     pytest.param(lambda: KernelSpec.shifted(2, 10**400), ValueError,
                  "parameter c", id="shifted-huge-c"),
     pytest.param(lambda: KernelSpec.gaussian(10**400), ValueError,
                  "parameter gamma", id="gaussian-huge-gamma"),
-    pytest.param(lambda: OptimizerConfig(p=1, step_init=10**400), InvalidConfigError,
-                 "step_init", id="config-huge-step-init"),
     pytest.param(lambda: welch_sum_bound(True, 2, 2), ValueError,
                  r"\bm must be an integer", id="sum-bound-bool-m"),
     pytest.param(lambda: potential_gradient(VS, 2.0), ValueError,

@@ -17,10 +17,8 @@ from welchkit.frames import (
 )
 from welchkit.serialize import (
     atomic_write,
-    bound_report_from_dict,
     canonical_json,
     format_float,
-    optimize_result_from_dict,
     optimize_result_to_dict,
     parse_json,
     read_vector_set,
@@ -181,15 +179,13 @@ class TestVectorSetFiles:
 
 class TestBoundReportRoundTrip:
     def test_json_round_trip_is_identity(self):
-        rep = power_sum_report(simplex_frame(2), 1)
-        doc = parse_json(canonical_json(rep.to_dict()))
-        assert bound_report_from_dict(doc) == rep
-
-    def test_rejects_wrong_keys(self):
         doc = power_sum_report(simplex_frame(2), 1).to_dict()
-        del doc["slack"]
-        with pytest.raises(ValueError):
-            bound_report_from_dict(doc)
+        back = parse_json(canonical_json(doc))
+        assert back == doc
+        assert list(back) == [
+            "inequality_id", "lhs", "rhs", "slack", "holds", "tight",
+            "m", "n", "p", "c", "r", "vacuous", "rhs_unit",
+        ]
 
 
 class TestOptimizeResultRoundTrip:
@@ -197,20 +193,11 @@ class TestOptimizeResultRoundTrip:
         res = minimize_frame_potential(
             2, 2, OptimizerConfig(p=1, seed=84, max_iters=50)
         )
-        doc = parse_json(canonical_json(optimize_result_to_dict(res)))
-        back = optimize_result_from_dict(doc)
-        assert np.array_equal(back.vectors.vectors, res.vectors.vectors)
-        assert back.final_potential == res.final_potential
-        assert back.bound == res.bound
-        assert back.gap == res.gap
-        assert back.iterations == res.iterations
-        assert back.trajectory == res.trajectory
-
-    def test_rejects_wrong_keys(self):
-        res = minimize_frame_potential(
-            2, 2, OptimizerConfig(p=1, seed=85, max_iters=10)
-        )
         doc = optimize_result_to_dict(res)
-        doc["extra"] = True
-        with pytest.raises(ValueError):
-            optimize_result_from_dict(doc)
+        back = parse_json(canonical_json(doc))
+        assert back == doc
+        assert list(back) == [
+            "vectors", "final_potential", "bound", "gap", "iterations", "trajectory",
+        ]
+        assert back["gap"] == res.final_potential - res.bound
+        assert back["iterations"] == len(res.trajectory) - 1
