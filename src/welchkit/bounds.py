@@ -36,7 +36,6 @@ from .errors import (
 )
 from .features import embedding_dim
 from .kernels import GramMatrix, KernelSpec, VectorSet, inner_table, power_sum
-from .linalg import frobenius_norm_sq, trace
 
 # A bound "holds" when slack >= -CHECK_TOL * max(1, |rhs|).
 CHECK_TOL = 1e-9
@@ -164,10 +163,11 @@ def gram_rank_report(g: GramMatrix) -> BoundReport:
 
     The Cauchy-Schwarz step behind it compares the eigenvalue power sums,
     so any PSD matrix satisfies it; rank 0 (the zero matrix) gets rhs 0.
+    Both sides come from the entries of G, measured once by the eigensolver.
     """
     r = g.rank()  # spectrum computation raises NotPSDError on indefinite input
-    lhs = frobenius_norm_sq(g.matrix)
-    tr = float(trace(g.matrix).real)
+    spectrum = g.spectrum()
+    lhs, tr = spectrum.frobenius_sq, spectrum.trace
     rhs = tr * tr / r if r > 0 else 0.0
     kernel = g.kernel
     return BoundReport(
@@ -213,10 +213,10 @@ def shifted_report(vs: VectorSet, p: int, c: float) -> BoundReport:
     c = spec.c
     lhs = power_sum(inner_table(vs.vectors) + c, p)
     denom = embedding_dim(spec, vs.n)
-    norm_sq = vs.norms() ** 2
-    rhs = float(np.sum((norm_sq + c) ** p)) ** 2 / denom
+    norms = vs.norms()
+    rhs = float(np.sum((norms**2 + c) ** p)) ** 2 / denom
     rhs_unit = None
-    if np.max(np.abs(vs.norms() - 1.0)) <= UNIT_METADATA_TOL:
+    if np.max(np.abs(norms - 1.0)) <= UNIT_METADATA_TOL:
         rhs_unit = vs.m**2 * (1.0 + c) ** (2 * p) / denom
         if abs(rhs_unit - rhs) > 1e-10 * max(1.0, abs(rhs)):
             raise WelchKitError(

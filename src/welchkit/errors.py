@@ -1,13 +1,17 @@
-"""Exception types shared across the package, and the scalar-parameter checks.
+"""Exception types shared across the package, and the parameter checks.
 
 ``check_int`` and ``check_real`` are the one place that decides what counts
 as an integer or a real parameter: any ``numbers.Integral`` or
 ``numbers.Real`` except ``bool``, returned as a plain ``int`` (at most
 INT64_MAX unless the caller sets another bound) or a finite ``float``.
+``check_array`` is the same for vectors and matrices: a complex128 array
+with the expected number of axes, none empty, every entry finite.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 # Counts, dimensions and degrees fit a signed 64-bit integer.
 INT64_MAX = 2**63 - 1
@@ -107,3 +111,19 @@ def check_real(
         ends = "()" if exclusive else "[]"
         raise error(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {number!r}")
     return number
+
+
+def check_array(name, value, ndim) -> np.ndarray:
+    """value as a complex128 array (no copy if it already is one), if it has
+    ndim axes, none of them empty, and only finite entries."""
+    try:
+        array = np.asarray(value, dtype=np.complex128)
+    except TypeError as exc:  # ValueError already covers strings and ragged lists
+        raise ValueError(f"{name} must be numeric: {exc}") from None
+    if array.ndim != ndim or 0 in array.shape:
+        raise ValueError(
+            f"{name} must be a {ndim}-D array with no empty axis, got shape {array.shape}"
+        )
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} entries must be finite")
+    return array

@@ -30,6 +30,7 @@ from .errors import (
     INT64_MAX,
     CombinatorialOverflowError,
     UnsupportedKernelError,
+    check_array,
     check_int,
 )
 from .kernels import KernelSpec, VectorSet
@@ -121,9 +122,7 @@ class FeatureMatrix:
     kernel: KernelSpec
 
     def __post_init__(self):
-        a = np.array(self.matrix, dtype=np.complex128)
-        if a.ndim != 2:
-            raise ValueError("feature matrix must be 2-D")
+        a = np.array(check_array("feature matrix", self.matrix, 2))
         a.flags.writeable = False
         object.__setattr__(self, "matrix", a)
 

@@ -100,8 +100,7 @@ def random_unit_vectors(
         a = re + 1j * rng.standard_normal((m, n))
     else:
         a = re.astype(np.complex128)
-    a = a / np.linalg.norm(a, axis=1, keepdims=True)
-    return VectorSet(vectors=a, field=field)
+    return VectorSet(vectors=_normalize_rows(a), field=field)
 
 
 def orthonormal_frame(n: int) -> VectorSet:

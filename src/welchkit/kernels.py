@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, check_int, check_real
+from .errors import DimensionMismatchError, check_array, check_int, check_real
 from .linalg import EigenSpectrum, clamp_psd, hermitian_eigenvalues, numerical_rank
 
 _FIELDS = ("real", "complex")
@@ -39,11 +39,8 @@ class VectorSet:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.array(self.vectors, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("vectors must form a 2-D array, at least 1x1")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValueError("vector entries must be finite")
+        # A copy of its own, so freezing it never freezes the caller's array.
+        arr = np.array(check_array("vectors", self.vectors, 2))
         if self.field not in _FIELDS:
             raise ValueError(f"field must be one of {_FIELDS}, got {self.field!r}")
         if self.field == "real" and np.any(arr.imag != 0.0):
@@ -168,19 +165,9 @@ class GramMatrix:
         return numerical_rank(self.spectrum())
 
 
-def _as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.complex128)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise ValueError("expected a 1-D vector")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise ValueError("vector entries must be finite")
-    return v
-
-
 def inner_product(x, y) -> complex:
     """<x, y> = x^H y: conjugate-linear in the first argument."""
-    xv = _as_vector(x)
-    yv = _as_vector(y)
+    xv, yv = check_array("x", x, 1), check_array("y", y, 1)
     if xv.shape != yv.shape:
         raise DimensionMismatchError(
             f"vectors have lengths {xv.shape[0]} and {yv.shape[0]}"
@@ -194,8 +181,7 @@ def eval_kernel(spec: KernelSpec, x, y) -> complex:
         return inner_product(x, y) ** spec.p
     if spec.variant == "shifted":
         return (inner_product(x, y) + spec.c) ** spec.p
-    xv = _as_vector(x)
-    yv = _as_vector(y)
+    xv, yv = check_array("x", x, 1), check_array("y", y, 1)
     if xv.shape != yv.shape:
         raise DimensionMismatchError(
             f"vectors have lengths {xv.shape[0]} and {yv.shape[0]}"

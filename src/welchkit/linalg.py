@@ -1,16 +1,17 @@
-"""Dense complex linear algebra primitives: Hermitian eigenvalues, trace,
-Frobenius norm, numerical rank.
+"""Dense complex linear algebra primitives: Hermitian eigenvalues, numerical
+rank, PSD certification.
 
-Matrices are plain ``numpy.ndarray`` objects (2-D, promoted to complex128 on
-entry); every public operation validates shape and finiteness itself.  The
-eigensolver is LAPACK ``eigvalsh`` on the exactly Hermitian part of the input.
-Every returned spectrum is checked at runtime against the two trace identities
-sum(sigma_i) = Re tr(M) and sum(sigma_i^2) = ||M||_F^2.
+Matrices are plain ``numpy.ndarray`` objects, validated and promoted to
+complex128 by ``errors.check_array``.  The eigensolver is LAPACK ``eigvalsh``
+on the exactly Hermitian part of the input.  Every returned spectrum carries
+the source matrix's Re tr(M) and ||M||_F^2, and is checked at runtime against
+the two trace identities sum(sigma_i) = Re tr(M) and
+sum(sigma_i^2) = ||M||_F^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .errors import (
     NotHermitianError,
     NotPSDError,
     NotSquareError,
+    check_array,
     check_real,
 )
 
@@ -40,10 +42,14 @@ class EigenSpectrum:
     """Real eigenvalues sorted descending, plus bookkeeping.
 
     values: 1-D float64 array, non-increasing.
+    trace, frobenius_sq: Re tr(M) and ||M||_F^2 of the source matrix M,
+        from its entries (not from the eigenvalues).
     clamp_applied: True when small negatives were zeroed by clamp_psd.
     """
 
     values: np.ndarray
+    trace: float
+    frobenius_sq: float
     clamp_applied: bool = False
 
     def __post_init__(self):
@@ -60,35 +66,6 @@ class EigenSpectrum:
         return self.values.shape[0]
 
 
-def as_matrix(m) -> np.ndarray:
-    """Promote input to a validated complex128 matrix (no copy if already one)."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError("expected a 2-D matrix with at least one row and column")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
-def _require_square(a: np.ndarray) -> int:
-    if a.shape[0] != a.shape[1]:
-        raise NotSquareError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    return a.shape[0]
-
-
-def trace(m) -> complex:
-    """Sum of diagonal entries."""
-    a = as_matrix(m)
-    _require_square(a)
-    return complex(np.trace(a))
-
-
-def frobenius_norm_sq(m) -> float:
-    """Sum of squared moduli of all entries."""
-    a = as_matrix(m)
-    return float(np.sum(a.real**2 + a.imag**2))
-
-
 def _close_rel(a: float, b: float, rtol: float) -> bool:
     return abs(a - b) <= rtol * max(1.0, abs(b))
 
@@ -100,8 +77,9 @@ def hermitian_eigenvalues(m) -> EigenSpectrum:
     NotHermitianError on bad input and NoConvergenceError if LAPACK fails or
     the trace identities fail afterwards.
     """
-    a = as_matrix(m)
-    _require_square(a)
+    a = check_array("matrix", m, 2)
+    if a.shape[0] != a.shape[1]:
+        raise NotSquareError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
 
     scale = max(1.0, float(np.max(np.abs(a))))
     herm_dev = float(np.max(np.abs(a - a.conj().T)))
@@ -130,7 +108,7 @@ def hermitian_eigenvalues(m) -> EigenSpectrum:
             f"spectral identity failed: sum of squares {sum_sq!r} vs "
             f"squared Frobenius norm {fro_sq!r}"
         )
-    return EigenSpectrum(values=values)
+    return EigenSpectrum(values=values, trace=tr_re, frobenius_sq=fro_sq)
 
 
 def clamp_psd(spectrum: EigenSpectrum, rtol: float = PSD_RTOL) -> EigenSpectrum:
@@ -151,7 +129,7 @@ def clamp_psd(spectrum: EigenSpectrum, rtol: float = PSD_RTOL) -> EigenSpectrum:
         )
     if min_val < 0.0:
         clamped = np.where(vals < 0.0, 0.0, vals)
-        return EigenSpectrum(values=clamped, clamp_applied=True)
+        return replace(spectrum, values=clamped, clamp_applied=True)
     return spectrum
 
 

@@ -34,11 +34,16 @@ CSV_HEADER = (
 
 @dataclass(frozen=True)
 class KernelScanSummary:
-    """Per-kernel aggregate over the trials of one scan."""
+    """One kernel's rank in every trial of a scan, at the scan epsilon."""
 
     kernel: KernelSpec
-    median_rank: float
+    ranks: tuple[int, ...]
     theoretical_dim: int | None
+
+    @property
+    def median_rank(self) -> float:
+        """Median of the per-trial ranks."""
+        return float(np.median(self.ranks))
 
     @property
     def saturated(self) -> bool | None:
@@ -49,24 +54,14 @@ class KernelScanSummary:
 
 
 @dataclass(frozen=True)
-class ScanRow:
-    """One (kernel, trial) measurement at the scan epsilon."""
-
-    kernel: KernelSpec
-    trial: int
-    rank: int
-
-
-@dataclass(frozen=True)
 class ScanResult:
-    """Everything a scan produced: raw rows plus per-kernel summaries."""
+    """Everything a scan produced: parameters plus one summary per kernel."""
 
     n: int
     m: int
     trials: int
     seed: int
     epsilon: float
-    rows: tuple[ScanRow, ...]
     summaries: tuple[KernelScanSummary, ...]
 
 
@@ -96,42 +91,24 @@ def rank_scan(
     epsilon = check_real(
         "epsilon", epsilon, 1e3 * sys.float_info.epsilon, error=InvalidScanError
     )
-    dims = {}
-    for spec in kernels:
-        if spec.is_polynomial:
-            dims[spec] = embedding_dim(spec, n)
-    if dims:
-        widest = max(dims.values())
-        if m <= widest:
-            raise InvalidScanError(
-                f"m={m} cannot exercise the widest feature dimension {widest}; "
-                f"need m > {widest}"
-            )
-    master = np.random.SeedSequence(seed)
-    rows = []
-    ranks_by_kernel = {spec: [] for spec in kernels}
-    for trial, child in enumerate(master.spawn(trials)):
-        vs = random_unit_vectors(m, n, seed=child)
-        for spec in kernels:
-            rank = numerical_rank(gram_matrix(spec, vs).spectrum(), epsilon)
-            ranks_by_kernel[spec].append(rank)
-            rows.append(ScanRow(kernel=spec, trial=trial, rank=rank))
-    summaries = [
-        KernelScanSummary(
-            kernel=spec,
-            median_rank=float(np.median(ranks_by_kernel[spec])),
-            theoretical_dim=dims.get(spec),
+    dims = [embedding_dim(spec, n) if spec.is_polynomial else None for spec in kernels]
+    widest = max((d for d in dims if d is not None), default=0)
+    if m <= widest:
+        raise InvalidScanError(
+            f"m={m} cannot exercise the widest feature dimension {widest}; "
+            f"need m > {widest}"
         )
-        for spec in kernels
-    ]
+    ranks = [[] for _ in kernels]
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        vs = random_unit_vectors(m, n, seed=child)
+        for spec, kernel_ranks in zip(kernels, ranks):
+            kernel_ranks.append(numerical_rank(gram_matrix(spec, vs).spectrum(), epsilon))
+    summaries = tuple(
+        KernelScanSummary(kernel=spec, ranks=tuple(r), theoretical_dim=dim)
+        for spec, r, dim in zip(kernels, ranks, dims)
+    )
     return ScanResult(
-        n=n,
-        m=m,
-        trials=trials,
-        seed=seed,
-        epsilon=epsilon,
-        rows=tuple(rows),
-        summaries=tuple(summaries),
+        n=n, m=m, trials=trials, seed=seed, epsilon=epsilon, summaries=summaries
     )
 
 
@@ -146,19 +123,18 @@ def _kernel_columns(spec: KernelSpec):
 
 
 def scan_csv(result: ScanResult) -> str:
-    """One CSV row per (kernel, trial); fixed header and formatting.
+    """One CSV row per (kernel, trial), trial-major; fixed header and formatting.
 
     No field can hold a comma, a quote or a newline, so none is quoted.
     """
-    dims = {s.kernel: s.theoretical_dim for s in result.summaries}
     epsilon = format_float(result.epsilon)
     lines = [",".join(CSV_HEADER)]
-    for row in result.rows:
-        dim = dims[row.kernel]
-        lines.append(",".join(
-            _kernel_columns(row.kernel)
-            + (str(row.trial), epsilon, str(row.rank), "" if dim is None else str(dim))
-        ))
+    for trial in range(result.trials):
+        for s in result.summaries:
+            dim = "" if s.theoretical_dim is None else str(s.theoretical_dim)
+            lines.append(",".join(
+                _kernel_columns(s.kernel) + (str(trial), epsilon, str(s.ranks[trial]), dim)
+            ))
     return "\n".join(lines) + "\n"
 
 

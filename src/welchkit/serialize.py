@@ -40,7 +40,8 @@ def format_float(x: float) -> str:
     return text
 
 
-def _emit(obj) -> str:
+def canonical_json(obj) -> str:
+    """Single-line JSON whose bytes depend only on the value."""
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -52,20 +53,15 @@ def _emit(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_emit(v) for v in obj) + "]"
+        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
         parts = []
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise ValueError("JSON object keys must be strings")
-            parts.append(json.dumps(key) + ":" + _emit(value))
+            parts.append(json.dumps(key) + ":" + canonical_json(value))
         return "{" + ",".join(parts) + "}"
     raise ValueError(f"cannot serialize {type(obj).__name__}")
-
-
-def canonical_json(obj) -> str:
-    """Single-line JSON whose bytes depend only on the value."""
-    return _emit(obj)
 
 
 def _reject_constant(name):
@@ -125,9 +121,10 @@ def atomic_write(path: str, text: str):
 
 
 def vector_set_to_dict(vs: VectorSet) -> dict:
-    vectors = [
-        [[float(z.real), float(z.imag)] for z in row] for row in vs.vectors
-    ]
+    # (m, n) complex reinterpreted as (m, n, 2) doubles: [re, im] per entry.
+    # The reinterpretation needs C order; a transposed set may be in F order.
+    rows = np.ascontiguousarray(vs.vectors)
+    vectors = rows.view(np.float64).reshape(vs.m, vs.n, 2).tolist()
     doc = {"field": vs.field, "n": vs.n, "m": vs.m, "vectors": vectors}
     if vs.labels is not None:
         doc["labels"] = list(vs.labels)

@@ -1,8 +1,10 @@
-"""Shared helpers for the test suite: random vector sets and unitary maps."""
+"""Shared helpers for the test suite: random vector sets, unitary maps and
+spectra built directly from eigenvalues."""
 
 import numpy as np
 
 from welchkit.kernels import VectorSet
+from welchkit.linalg import EigenSpectrum
 
 
 def random_vectors(rng, m, n, field="complex", unit=False):
@@ -29,3 +31,11 @@ def random_unitary(rng, n, reflections=4):
 def apply_map(u, vs):
     """Transform every vector of the set by the matrix u (rows -> u @ row)."""
     return VectorSet(vectors=(u @ vs.vectors.T).T, field="complex")
+
+
+def diagonal_spectrum(values):
+    """EigenSpectrum of the real diagonal matrix with these entries."""
+    values = np.asarray(values, dtype=np.float64)
+    return EigenSpectrum(
+        values, trace=float(np.sum(values)), frobenius_sq=float(np.sum(values**2))
+    )

@@ -179,6 +179,13 @@ class TestVectorSet:
         with pytest.raises(ValueError):
             vs.vectors[0, 0] = 5.0
 
+    def test_callers_array_stays_writeable(self):
+        # A complex128 array needs no conversion, so only a copy keeps it apart.
+        a = np.ones((2, 2), dtype=np.complex128)
+        vs = VectorSet(vectors=a)
+        a[0, 0] = 5.0
+        assert vs.vectors[0, 0] == 1.0
+
     def test_norms(self):
         vs = VectorSet(vectors=np.array([[3.0, 4.0], [0.0, 1.0]]), field="real")
         assert np.allclose(vs.norms(), [5.0, 1.0])

@@ -1,4 +1,5 @@
-"""Core numerics: eigensolver gates, trace, Frobenius norm, numerical rank."""
+"""Core numerics: eigensolver gates, the spectrum's trace and Frobenius norm,
+numerical rank."""
 
 import numpy as np
 import pytest
@@ -10,13 +11,13 @@ from welchkit.errors import (
     NotSquareError,
 )
 from welchkit.linalg import (
-    EigenSpectrum,
+    TRACE_IDENTITY_RTOL,
     clamp_psd,
-    frobenius_norm_sq,
     hermitian_eigenvalues,
     numerical_rank,
-    trace,
 )
+
+from helpers import diagonal_spectrum
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -67,10 +68,15 @@ class TestHermitianEigenvalues:
         for n in (2, 4, 6, 10):
             h = random_hermitian(rng, n, scale=3.0)
             spec = hermitian_eigenvalues(h)
-            tr = float(trace(h).real)
-            assert abs(spec.values.sum() - tr) <= 1e-9 * max(1.0, abs(tr))
-            fro = frobenius_norm_sq(h)
-            assert abs((spec.values**2).sum() - fro) <= 1e-9 * max(1.0, fro)
+            # Both fields come from the entries, by the gates' own expressions.
+            tr = float(np.trace(h).real)
+            fro = float(np.sum(h.real**2 + h.imag**2))
+            assert spec.trace == tr
+            assert spec.frobenius_sq == fro
+            assert spec.frobenius_sq == pytest.approx(np.sum(abs(h) ** 2), rel=1e-14)
+            rtol = TRACE_IDENTITY_RTOL
+            assert abs(spec.values.sum() - spec.trace) <= rtol * max(1.0, abs(tr))
+            assert abs((spec.values**2).sum() - spec.frobenius_sq) <= rtol * max(1.0, fro)
 
     def test_not_square(self):
         with pytest.raises(NotSquareError):
@@ -113,47 +119,53 @@ class TestHermitianEigenvalues:
 
 
 class TestTrace:
+    """EigenSpectrum.trace: Re tr(M) of the source matrix."""
+
     def test_identity(self):
-        assert trace(np.eye(2)) == 2.0
+        assert hermitian_eigenvalues(np.eye(2)).trace == 2.0
 
     def test_complex_diagonal_sum(self):
         m = np.array([[2.0, 1j], [-1j, 2.0]])
-        assert trace(m) == 4.0
+        assert hermitian_eigenvalues(m).trace == 4.0
 
     def test_not_square(self):
         with pytest.raises(NotSquareError):
-            trace(np.ones((1, 2)))
+            hermitian_eigenvalues(np.ones((1, 2)))
 
 
 class TestFrobeniusNormSq:
+    """EigenSpectrum.frobenius_sq: ||M||_F^2 of the source matrix."""
+
     def test_identity(self):
-        assert frobenius_norm_sq(np.eye(2)) == 2.0
+        assert hermitian_eigenvalues(np.eye(2)).frobenius_sq == 2.0
 
     def test_all_ones(self):
-        assert frobenius_norm_sq(np.ones((3, 3))) == 9.0
+        assert hermitian_eigenvalues(np.ones((3, 3))).frobenius_sq == 9.0
 
     def test_complex_entries(self):
         m = np.array([[2.0, 1j], [-1j, 2.0]])
-        assert frobenius_norm_sq(m) == 10.0
+        assert hermitian_eigenvalues(m).frobenius_sq == 10.0
 
     def test_agrees_with_trace_of_m_mh(self):
+        # ||H||_F^2 = tr(H H^H) for the Hermitian H = A A^H.
         rng = np.random.default_rng(11)
-        m = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        via_trace = float(trace(m @ m.conj().T).real)
-        assert frobenius_norm_sq(m) == pytest.approx(via_trace, rel=1e-12)
+        a = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        h = a @ a.conj().T
+        via_trace = hermitian_eigenvalues(h @ h.conj().T).trace
+        assert hermitian_eigenvalues(h).frobenius_sq == pytest.approx(via_trace, rel=1e-12)
 
 
 class TestNumericalRank:
     def test_rank_one_spectrum(self):
-        spec = EigenSpectrum(np.array([3.0, 0.0, 0.0]))
+        spec = diagonal_spectrum(np.array([3.0, 0.0, 0.0]))
         assert numerical_rank(spec) == 1
 
     def test_full_rank_spectrum(self):
-        spec = EigenSpectrum(np.array([1.0, 1.0]))
+        spec = diagonal_spectrum(np.array([1.0, 1.0]))
         assert numerical_rank(spec) == 2
 
     def test_zero_matrix_rank_zero(self):
-        spec = EigenSpectrum(np.zeros(5))
+        spec = diagonal_spectrum(np.zeros(5))
         assert numerical_rank(spec) == 0
 
     def test_scale_invariance(self):
@@ -161,31 +173,40 @@ class TestNumericalRank:
         for _ in range(20):
             vals = np.sort(np.abs(rng.standard_normal(6)))[::-1]
             vals[4:] *= 1e-12
-            spec = EigenSpectrum(vals)
+            spec = diagonal_spectrum(vals)
             base = numerical_rank(spec)
             for t in (1e-7, 0.5, 3.0, 1e9):
-                scaled = EigenSpectrum(vals * t)
+                scaled = diagonal_spectrum(vals * t)
                 assert numerical_rank(scaled) == base
 
     def test_policy_threshold(self):
-        spec = EigenSpectrum(np.array([1.0, 1e-4, 1e-12]))
+        spec = diagonal_spectrum(np.array([1.0, 1e-4, 1e-12]))
         assert numerical_rank(spec, rel_tol=1e-8) == 2
         assert numerical_rank(spec, rel_tol=1e-2) == 1
 
 
 class TestClampPsd:
     def test_passthrough_when_nonnegative(self):
-        spec = EigenSpectrum(np.array([2.0, 1.0, 0.0]))
+        spec = diagonal_spectrum(np.array([2.0, 1.0, 0.0]))
         out = clamp_psd(spec)
         assert out is spec
 
     def test_clamps_roundoff_negatives(self):
-        spec = EigenSpectrum(np.array([1.0, 1e-13, -1e-13]))
+        spec = diagonal_spectrum(np.array([1.0, 1e-13, -1e-13]))
         out = clamp_psd(spec)
         assert out.clamp_applied
         assert out.values.tolist() == [1.0, 1e-13, 0.0]
 
+    def test_clamp_keeps_source_trace_and_norm(self):
+        # The fields describe the source matrix, so clamping leaves them alone.
+        m = np.array([[1.0, 1.0], [1.0, 1.0]]) + np.diag([0.0, -1e-13])
+        spec = hermitian_eigenvalues(m)
+        assert spec.values[-1] < 0.0
+        out = clamp_psd(spec)
+        assert out.clamp_applied
+        assert (out.trace, out.frobenius_sq) == (spec.trace, spec.frobenius_sq)
+
     def test_rejects_genuine_negatives(self):
-        spec = EigenSpectrum(np.array([1.0, -0.5]))
+        spec = diagonal_spectrum(np.array([1.0, -0.5]))
         with pytest.raises(NotPSDError):
             clamp_psd(spec)

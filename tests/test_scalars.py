@@ -1,4 +1,5 @@
-"""The one scalar-validation boundary: errors.check_int and errors.check_real."""
+"""The one validation boundary: errors.check_int and errors.check_real for
+scalars, errors.check_array for vectors and matrices."""
 
 import math
 from fractions import Fraction
@@ -6,9 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from welchkit.bounds import welch_coherence_bound, welch_sum_bound
-from welchkit.errors import INT64_MAX, InvalidConfigError, check_int, check_real
-from welchkit.features import binomial
+from welchkit import linalg
+from welchkit.bounds import gram_rank_report, welch_coherence_bound, welch_sum_bound
+from welchkit.errors import (
+    INT64_MAX,
+    InvalidConfigError,
+    check_array,
+    check_int,
+    check_real,
+)
+from welchkit.features import FeatureMatrix, binomial
 from welchkit.frames import (
     OptimizerConfig,
     minimize_frame_potential,
@@ -17,8 +25,8 @@ from welchkit.frames import (
     random_unit_vectors,
     simplex_frame,
 )
-from welchkit.kernels import KernelSpec, gram_matrix
-from welchkit.linalg import clamp_psd, numerical_rank
+from welchkit.kernels import KernelSpec, VectorSet, gram_matrix, inner_product
+from welchkit.linalg import clamp_psd, hermitian_eigenvalues, numerical_rank
 
 
 class TestCheckInt:
@@ -81,6 +89,74 @@ class TestCheckReal:
         for value in (0.0, 1.0):
             with pytest.raises(ValueError, match=r"x must lie in \(0, 1\)"):
                 check_real("x", value, 0.0, 1.0, exclusive=True)
+
+
+def _with_first(entry):
+    """The good array with its first entry replaced."""
+    def make(good):
+        bad = good.astype(object if isinstance(entry, str) else np.complex128)
+        bad[(0,) * bad.ndim] = entry
+        return bad
+    return make
+
+
+# Each row turns a valid vector or matrix into one that check_array refuses.
+MALFORMED_ARRAYS = [
+    pytest.param(lambda good: good[np.newaxis], id="wrong-ndim"),
+    pytest.param(lambda good: good[:0], id="empty-axis"),
+    pytest.param(_with_first(complex(math.nan, 0.0)), id="nan-real"),
+    pytest.param(_with_first(complex(math.inf, 0.0)), id="inf-real"),
+    pytest.param(_with_first(complex(0.0, math.nan)), id="nan-imag"),
+    pytest.param(_with_first(complex(1.0, -math.inf)), id="inf-imag"),
+    pytest.param(_with_first("x"), id="non-numeric-string"),
+    pytest.param(lambda good: np.array([object()] * good.size).reshape(good.shape),
+                 id="non-numeric-object"),
+]
+
+# Every public entry point that takes a vector or a matrix, with a valid one.
+ARRAY_ENTRY_POINTS = [
+    pytest.param(VectorSet, np.eye(2), id="VectorSet"),
+    pytest.param(lambda y: inner_product(np.ones(2), y), np.ones(2), id="inner_product"),
+    pytest.param(hermitian_eigenvalues, np.eye(2), id="hermitian_eigenvalues"),
+    pytest.param(lambda a: FeatureMatrix(a, KernelSpec.homogeneous(1)), np.eye(2),
+                 id="FeatureMatrix"),
+]
+
+
+class TestCheckArray:
+    @pytest.mark.parametrize("call, good", ARRAY_ENTRY_POINTS)
+    @pytest.mark.parametrize("malform", MALFORMED_ARRAYS)
+    def test_malformed_array_raises_value_error(self, call, good, malform):
+        call(good)
+        with pytest.raises(ValueError):
+            call(malform(good))
+
+    def test_complex128_input_is_returned_as_is(self):
+        a = np.ones((2, 3), dtype=np.complex128)
+        assert check_array("a", a, 2) is a
+
+    def test_lists_become_complex128(self):
+        got = check_array("v", [1, 2.5], 1)
+        assert got.dtype == np.complex128 and got.tolist() == [1, 2.5]
+
+    def test_message_names_the_argument(self):
+        with pytest.raises(ValueError, match="v must be a 1-D array"):
+            check_array("v", [[1.0]], 1)
+        with pytest.raises(ValueError, match="v entries must be finite"):
+            check_array("v", [math.nan], 1)
+
+
+def test_gram_rank_report_validates_its_gram_once(monkeypatch):
+    calls = []
+
+    def counting(name, value, ndim):
+        calls.append(name)
+        return check_array(name, value, ndim)
+
+    g = gram_matrix(KernelSpec.homogeneous(2), random_unit_vectors(64, 4, seed=1))
+    monkeypatch.setattr(linalg, "check_array", counting)
+    gram_rank_report(g)
+    assert calls == ["matrix"]
 
 
 CFG = OptimizerConfig(p=1, max_iters=5, restarts=1)

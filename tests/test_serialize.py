@@ -134,6 +134,17 @@ class TestVectorSetFiles:
         assert doc["vectors"][0][0] == [1.0, 0.0]
         assert doc["vectors"][0][1] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_entries_match_each_complex_entry(self, order):
+        # Signed zeros and subnormals survive, in either memory layout.
+        rows = np.array(
+            [[-0.0 + 1j, 5e-324 - 0.0j, 1.5], [2.0 - 2.5j, -5e-324j, 0.1 + 0.2j]],
+            order=order,
+        )
+        vs = VectorSet(vectors=rows)
+        want = [[[z.real, z.imag] for z in row] for row in rows.tolist()]
+        assert canonical_json(vector_set_to_dict(vs)["vectors"]) == canonical_json(want)
+
     def test_rejects_unknown_keys(self):
         doc = vector_set_to_dict(orthonormal_frame(2))
         doc["extra"] = 1
