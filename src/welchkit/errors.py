@@ -4,8 +4,9 @@
 as an integer or a real parameter: any ``numbers.Integral`` or
 ``numbers.Real`` except ``bool``, returned as a plain ``int`` (at most
 INT64_MAX unless the caller sets another bound) or a finite ``float``.
-``check_array`` is the same for vectors and matrices: a complex128 array
-with the expected number of axes, none empty, every entry finite.
+``check_array`` is the same for vectors and matrices: a numeric (not bool)
+array, returned as complex128, with the expected number of axes, none
+empty, every entry finite.
 """
 
 import math
@@ -114,12 +115,16 @@ def check_real(
 
 
 def check_array(name, value, ndim) -> np.ndarray:
-    """value as a complex128 array (no copy if it already is one), if it has
-    ndim axes, none of them empty, and only finite entries."""
+    """value as a complex128 array (no copy if it already is one), if its
+    entries are integers, reals or complex numbers (not bools, strings or
+    objects), it has ndim axes, none of them empty, and every entry is finite."""
     try:
-        array = np.asarray(value, dtype=np.complex128)
-    except TypeError as exc:  # ValueError already covers strings and ragged lists
+        array = np.asarray(value)
+    except TypeError as exc:  # ValueError already covers ragged lists
         raise ValueError(f"{name} must be numeric: {exc}") from None
+    if array.dtype.kind not in "iufc":
+        raise ValueError(f"{name} must be numeric, got dtype {array.dtype}")
+    array = array.astype(np.complex128, copy=False)
     if array.ndim != ndim or 0 in array.shape:
         raise ValueError(
             f"{name} must be a {ndim}-D array with no empty axis, got shape {array.shape}"

@@ -4,19 +4,21 @@ The potential sum_ij |<x_i, x_j>|^(2p) over unit-norm sets is bounded below
 by m^2 / C(n+p-1, p); this module probes how close that bound is to
 attainable.  The potential is ``kernels.power_sum`` of the inner-product
 table, the same function behind the power-sum lhs.  The minimizer is
-projected gradient descent on the product of unit spheres: ambient
-gradient, tangent projection (radial component removed), step, renormalize.
-Each line search starts from a Barzilai-Borwein step (BB1 and BB2 in turn;
-``STEP_INIT`` first and whenever <s, y> <= 0) and halves it until the Armijo
-test holds with a strict decrease.  A restart stops on ``grad_tol``, when
-the step falls below the floor, or at ``max_iters``.  Each restart starts from
-``random_unit_vectors`` on its own stream spawned from the master seed, so
-runs are reproducible regardless of restart execution order.
+Riemannian L-BFGS (Liu & Nocedal 1989; Huang, Gallivan & Absil 2015) on the
+product of unit spheres: ambient gradient, tangent projection (radial
+component removed), a direction from the two-loop recursion over the last
+``_MEMORY`` curvature pairs, step, renormalize.  Each line search starts
+from step 1 and halves it until the Armijo test holds with a strict
+decrease.  A restart stops on ``grad_tol``, when the step falls below the
+floor, or at ``max_iters``; the result records which.  Each restart starts
+from ``random_unit_vectors`` on its own stream spawned from the master seed,
+so runs are reproducible regardless of restart execution order.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +27,14 @@ from .bounds import welch_sum_bound
 from .errors import INT64_MAX, InvalidConfigError, NumericalError, check_int, check_real
 from .kernels import VectorSet, inner_table, power_sum
 
-# First trial step, and the fallback when the BB step is undefined.
+# Scale of the steepest-descent direction when no curvature pair is held.
 STEP_INIT = 0.1
 
 # Armijo sufficient-decrease constant.
-ARMIJO_C = 0.5
+ARMIJO_C = 1e-4
+
+# Curvature pairs kept for the L-BFGS direction.
+_MEMORY = 8
 
 # Step sizes below this end the line search (stationary at float precision).
 _STEP_FLOOR = 1e-18
@@ -37,7 +42,7 @@ _STEP_FLOOR = 1e-18
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Projected-gradient settings; defaults give reliable descent."""
+    """Optimizer settings; defaults give reliable descent."""
 
     p: int
     max_iters: int = 5000
@@ -60,12 +65,14 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    """Best restart's outcome: final iterate, objective, bound, and history."""
+    """Best restart's outcome: final iterate, objective, bound, history, and
+    why it stopped (``grad_tol``, ``step_floor`` or ``max_iters``)."""
 
     vectors: VectorSet
     final_potential: float
     bound: float
     trajectory: tuple[float, ...]
+    stop_reason: str
 
     def __post_init__(self):
         if self.gap < -1e-9:
@@ -157,44 +164,80 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """A contiguous complex array as a flat float64 view (re, im interleaved),
+    so the real inner product Re<a, b> is ``_flat(a) @ _flat(b)``."""
+    return a.view(np.float64).ravel()
+
+
+def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
+    """L-BFGS direction -H g from the curvature pairs (s, y, 1/<s, y>), oldest
+    first, with H0 = <s, y>/<y, y> of the newest pair (STEP_INIT without one)."""
+    q = -g
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * (s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if not pairs:
+        return STEP_INIT * q
+    _, y, rho = pairs[-1]
+    q *= 1.0 / (rho * (y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return q
+
+
 def _descend(x: np.ndarray, p: int, cfg: OptimizerConfig):
+    """One restart from x: final iterate, potential, trajectory, stop reason."""
     t = inner_table(x)
     f = power_sum(t, p)
     trajectory = [f]
+    pairs = deque(maxlen=_MEMORY)
     x_old = g_old = None
-    for k in range(cfg.max_iters):
+    stop = "max_iters"
+    for _ in range(cfg.max_iters):
         rgrad = _project_tangent(x, _gradient_raw(x, t, p))
-        gnorm_sq = float(np.sum(rgrad.real**2 + rgrad.imag**2))
-        if math.sqrt(gnorm_sq) < cfg.grad_tol:
+        g = _flat(rgrad)
+        if math.sqrt(g @ g) < cfg.grad_tol:
+            stop = "grad_tol"
             break
-        step = STEP_INIT
         if x_old is not None:
-            # Barzilai-Borwein, the old gradient moved into this tangent space.
-            s, y = x - x_old, rgrad - _project_tangent(x, g_old)
-            sy = np.vdot(s, y).real
+            # Curvature pair in this tangent space; kept only if <s, y> > 0.
+            s = _flat(_project_tangent(x, x - x_old))
+            y = g - _flat(_project_tangent(x, g_old))
+            sy = s @ y
             if sy > 0:
-                step = np.vdot(s, s).real / sy if k % 2 else sy / np.vdot(y, y).real
+                pairs.append((s, y, 1.0 / sy))
+        d = _two_loop(g, pairs)
+        if g @ d >= 0:  # not a descent direction: drop the memory
+            pairs.clear()
+            d = _two_loop(g, pairs)
+        slope = g @ d
+        d = d.view(np.complex128).reshape(x.shape)
+        step = 1.0
         while True:
-            candidate = _normalize_rows(x - step * rgrad)
+            candidate = _normalize_rows(x + step * d)
             tc = inner_table(candidate)
             fc = power_sum(tc, p)
             # Strict decrease too: at the float floor fc == f passes Armijo.
-            if fc < f and fc <= f - ARMIJO_C * step * gnorm_sq:
+            if fc < f and fc <= f + ARMIJO_C * step * slope:
                 break
             step *= 0.5
             if step < _STEP_FLOOR:
                 candidate = None
                 break
         if candidate is None:
+            stop = "step_floor"
             break
         x_old, g_old = x, rgrad
         x, t, f = candidate, tc, fc
         trajectory.append(f)
-    return x, f, trajectory
+    return x, f, trajectory, stop
 
 
 def minimize_frame_potential(m: int, n: int, cfg: OptimizerConfig) -> OptimizeResult:
-    """Best-of-restarts projected gradient descent over unit-norm sets.
+    """Best-of-restarts Riemannian L-BFGS over unit-norm sets.
 
     Restart streams are spawned from the master seed; the restart with the
     smallest final potential wins, ties going to the lowest restart index.
@@ -205,13 +248,14 @@ def minimize_frame_potential(m: int, n: int, cfg: OptimizerConfig) -> OptimizeRe
     best = None
     for child in master.spawn(cfg.restarts):
         x0 = random_unit_vectors(m, n, seed=child).vectors
-        x, f, trajectory = _descend(x0, cfg.p, cfg)
-        if best is None or f < best[1]:
-            best = (x, f, trajectory)
-    x, f, trajectory = best
+        run = _descend(x0, cfg.p, cfg)
+        if best is None or run[1] < best[1]:
+            best = run
+    x, f, trajectory, stop = best
     return OptimizeResult(
         vectors=VectorSet(vectors=x, field="complex"),
         final_potential=f,
         bound=welch_sum_bound(m, n, cfg.p),
         trajectory=tuple(trajectory),
+        stop_reason=stop,
     )

@@ -278,6 +278,17 @@ class TestOptimize:
         doc = parse_json(out.read_text())
         assert doc["final_potential"] == float(fields["final_potential"])
 
+    def test_readme_example_prints_its_comment_line(self, tmp_path, capsys):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as handle:
+            lines = handle.read().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("welch optimize "))
+        argv = lines[at].split()[1:]
+        argv[argv.index("--out") + 1] = str(tmp_path / "result.json")
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0
+        assert "# " + stdout.rstrip("\n") == lines[at + 1]
+
     def test_m_less_than_n_rejected(self, capsys):
         code, _, _ = run(capsys, "optimize", "--m", "2", "--n", "3", "--p", "1")
         assert code == 2

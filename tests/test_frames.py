@@ -213,6 +213,33 @@ class TestEvaluationBudget:
         assert res.iterations < cfg.max_iters
         assert -1e-9 <= res.gap <= 1e-6 * res.bound
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sic_in_dimension_three_certified_to_relative_precision(self, monkeypatch, seed):
+        cfg = OptimizerConfig(p=2, seed=seed, grad_tol=1e-6)
+        res, calls = self.count_calls(monkeypatch, 9, 3, cfg)
+        assert calls <= 1000
+        assert res.stop_reason == "grad_tol"
+        assert -1e-9 <= res.gap <= 1e-12 * res.bound
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sic_in_dimension_four_within_budget(self, monkeypatch, seed):
+        cfg = OptimizerConfig(p=2, seed=seed, grad_tol=1e-6)
+        res, calls = self.count_calls(monkeypatch, 16, 4, cfg)
+        assert calls <= 400
+        assert res.stop_reason == "grad_tol"
+
+    @pytest.mark.parametrize(
+        "m, n, cfg, reason",
+        [
+            (9, 3, OptimizerConfig(p=2, seed=1, grad_tol=1e-6, max_iters=3), "max_iters"),
+            (3, 2, OptimizerConfig(p=1, seed=1, grad_tol=1e-300), "step_floor"),
+        ],
+    )
+    def test_stop_reason(self, m, n, cfg, reason):
+        res = minimize_frame_potential(m, n, cfg)
+        assert res.stop_reason == reason
+        assert (res.iterations == cfg.max_iters) == (reason == "max_iters")
+
     @pytest.mark.parametrize("m, n, seed", [(4, 2, 18), (4, 2, 19), (3, 2, 1)])
     def test_no_restart_stalls_at_the_float_floor(self, monkeypatch, m, n, seed):
         res, calls = self.count_calls(monkeypatch, m, n, OptimizerConfig(p=1, seed=seed))
@@ -229,6 +256,7 @@ class TestOptimizeResultValidation:
                 final_potential=1.0,
                 bound=2.0,
                 trajectory=(1.0,),
+                stop_reason="grad_tol",
             )
 
     def test_rejects_non_unit_vectors(self):
@@ -239,4 +267,5 @@ class TestOptimizeResultValidation:
                 final_potential=2.0,
                 bound=2.0,
                 trajectory=(2.0,),
+                stop_reason="grad_tol",
             )

@@ -111,6 +111,9 @@ MALFORMED_ARRAYS = [
     pytest.param(_with_first("x"), id="non-numeric-string"),
     pytest.param(lambda good: np.array([object()] * good.size).reshape(good.shape),
                  id="non-numeric-object"),
+    pytest.param(lambda good: good.real.astype(str), id="numeric-strings"),
+    pytest.param(lambda good: good.real.astype(bool), id="bools"),
+    pytest.param(lambda good: good.astype(object), id="numeric-objects"),
 ]
 
 # Every public entry point that takes a vector or a matrix, with a valid one.
@@ -130,6 +133,18 @@ class TestCheckArray:
         call(good)
         with pytest.raises(ValueError):
             call(malform(good))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda: VectorSet([["1", "2j"]]), id="VectorSet-strings"),
+            pytest.param(lambda: VectorSet([[True, False]]), id="VectorSet-bools"),
+            pytest.param(lambda: inner_product(["1"], [True]), id="inner_product-mixed"),
+        ],
+    )
+    def test_strings_and_bools_are_not_numbers(self, call):
+        with pytest.raises(ValueError, match="must be numeric, got dtype"):
+            call()
 
     def test_complex128_input_is_returned_as_is(self):
         a = np.ones((2, 3), dtype=np.complex128)
