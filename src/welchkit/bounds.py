@@ -21,6 +21,7 @@ Double sums always include the diagonal i = j terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -146,16 +147,41 @@ def welch_sum_bound(m: int, n: int, p: int) -> float:
     """m^2 / C(n+p-1, p), correctly rounded (int / int true division)."""
     m = check_int("m", m, 1)
     n = check_int("n", n, 1)
-    p = check_int("degree p", p, 1)
     return m * m / embedding_dim(KernelSpec.homogeneous(p), n)
 
 
+def _kernel_report(
+    inequality_id: str, vs: VectorSet, spec: KernelSpec, unit: bool
+) -> BoundReport:
+    """||K||_F^2 >= (tr K)^2 / r for K[i, j] = (<x_i, x_j> + c)^p (c = 0 if
+    homogeneous), PSD of rank r <= embedding_dim; tr K = sum_i (|x_i|^2 + c)^p,
+    or m (1+c)^p in the unit form (unit norms required), recorded as rhs_unit."""
+    p, c = spec.p, spec.c or 0.0
+    r = embedding_dim(spec, vs.n)
+    if unit:
+        _require_unit_norms(vs, UNIT_NORM_TOL)
+    table = inner_table(vs.vectors)
+    table += c  # in place: no second table-sized array
+    lhs = power_sum(table, p)
+    norms = vs.norms()
+    near_unit = unit or np.max(np.abs(norms - 1.0)) <= UNIT_METADATA_TOL
+    rhs_unit = vs.m**2 * (1.0 + c) ** (2 * p) / r if near_unit else None
+    rhs = rhs_unit if unit else float(np.sum((norms**2 + c) ** p)) ** 2 / r
+    # Norms within d = UNIT_METADATA_TOL of 1 keep each (|x_i|^2 + c) / (1 + c)
+    # in [(1-d)^2, (1+d)^2], so |rhs - rhs_unit| <= ((1+d)^(4p) - 1) rhs_unit;
+    # 1e-10 more covers rounding.  Past e^700 the bound is vacuous anyway.
+    spread = math.expm1(min(4 * p * math.log1p(UNIT_METADATA_TOL), 700.0)) + 1e-10
+    if rhs_unit is not None and abs(rhs_unit - rhs) > spread * max(1.0, rhs_unit):
+        raise WelchKitError("unit-norm rhs disagrees with the general form")
+    return BoundReport(
+        inequality_id, lhs, rhs, m=vs.m, n=vs.n, p=p, c=spec.c,
+        rhs_unit=None if spec.c is None else rhs_unit,
+    )
+
+
 def power_sum_report(vs: VectorSet, p: int) -> BoundReport:
-    """Power-sum inequality for a unit-norm set."""
-    _require_unit_norms(vs, UNIT_NORM_TOL)
-    lhs = sum_power_lhs(vs, p)
-    rhs = welch_sum_bound(vs.m, vs.n, p)
-    return BoundReport("power-sum", lhs, rhs, m=vs.m, n=vs.n, p=p)
+    """Power-sum inequality for a unit-norm set: rhs = m^2 / C(n+p-1, p)."""
+    return _kernel_report("power-sum", vs, KernelSpec.homogeneous(p), unit=True)
 
 
 def gram_rank_report(g: GramMatrix) -> BoundReport:
@@ -189,14 +215,15 @@ def generalized_report(vs: VectorSet, p: int) -> BoundReport:
     Invariant under global rescaling of the whole set, so it is evaluated on
     the set divided by its largest entry modulus, which no scale can overflow.
     """
-    p = check_int("degree p", p, 1)
+    spec = KernelSpec.homogeneous(p)
     scale = float(np.max(np.abs(vs.vectors)))
     if scale == 0.0:
         raise AllZeroVectorsError("ratio undefined: every vector is zero")
     scaled = VectorSet(vs.vectors / scale)
-    lhs = sum_power_lhs(scaled, p) / float(np.sum(scaled.norms() ** (2 * p))) ** 2
-    rhs = 1.0 / embedding_dim(KernelSpec.homogeneous(p), vs.n)
-    return BoundReport("generalized", lhs, rhs, m=vs.m, n=vs.n, p=p)
+    tr = float(np.sum(scaled.norms() ** (2 * spec.p)))
+    lhs = sum_power_lhs(scaled, spec.p) / tr**2
+    rhs = 1.0 / embedding_dim(spec, vs.n)
+    return BoundReport("generalized", lhs, rhs, m=vs.m, n=vs.n, p=spec.p)
 
 
 def shifted_report(vs: VectorSet, p: int, c: float) -> BoundReport:
@@ -205,39 +232,16 @@ def shifted_report(vs: VectorSet, p: int, c: float) -> BoundReport:
     lhs = sum_ij |<x_i, x_j> + c|^(2p);
     rhs = (sum_i (|x_i|^2 + c)^p)^2 / C(n+p, p).
 
-    On unit-norm sets (within 1e-12) the simplified rhs
+    When every norm is within 1e-12 of 1 the simplified rhs
     m^2 (1+c)^(2p) / C(n+p, p) is recorded as rhs_unit and cross-checked
     against the general rhs.
     """
-    spec = KernelSpec.shifted(p, c)
-    c = spec.c
-    lhs = power_sum(inner_table(vs.vectors) + c, p)
-    denom = embedding_dim(spec, vs.n)
-    norms = vs.norms()
-    rhs = float(np.sum((norms**2 + c) ** p)) ** 2 / denom
-    rhs_unit = None
-    if np.max(np.abs(norms - 1.0)) <= UNIT_METADATA_TOL:
-        rhs_unit = vs.m**2 * (1.0 + c) ** (2 * p) / denom
-        if abs(rhs_unit - rhs) > 1e-10 * max(1.0, abs(rhs)):
-            raise WelchKitError(
-                "unit-norm shifted rhs disagrees with the general form"
-            )
-    return BoundReport(
-        "shifted", lhs, rhs, m=vs.m, n=vs.n, p=p, c=c, rhs_unit=rhs_unit
-    )
+    return _kernel_report("shifted", vs, KernelSpec.shifted(p, c), unit=False)
 
 
 def shifted_unit_report(vs: VectorSet, p: int, c: float) -> BoundReport:
     """Unit-norm form of the shifted bound: rhs = m^2 (1+c)^(2p) / C(n+p, p)."""
-    spec = KernelSpec.shifted(p, c)
-    c = spec.c
-    _require_unit_norms(vs, UNIT_NORM_TOL)
-    lhs = power_sum(inner_table(vs.vectors) + c, p)
-    denom = embedding_dim(spec, vs.n)
-    rhs = vs.m**2 * (1.0 + c) ** (2 * p) / denom
-    return BoundReport(
-        "shifted-unit", lhs, rhs, m=vs.m, n=vs.n, p=p, c=c, rhs_unit=rhs
-    )
+    return _kernel_report("shifted-unit", vs, KernelSpec.shifted(p, c), unit=True)
 
 
 def coherence_report(vs: VectorSet, p: int) -> BoundReport:

@@ -52,16 +52,6 @@ from .serialize import (
     write_vector_set,
 )
 
-INEQUALITY_IDS = (
-    "coherence",
-    "power-sum",
-    "gram-rank",
-    "generalized",
-    "shifted",
-    "shifted-unit",
-)
-
-
 def _kernel(entry) -> KernelSpec:
     """KernelSpec from command-line flags or from one rank-scan kernel entry.
 
@@ -103,16 +93,30 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _gram_rank(vs, args):
+    variant = "homogeneous" if args.kernel is None else args.kernel
+    spec = _kernel({"variant": variant, "p": args.p, "c": args.c, "gamma": args.gamma})
+    return gram_rank_report(gram_matrix(spec, vs))
+
+
+# Report of (vector set, parsed flags) per inequality; names resolve per call.
+_CHECKS = {
+    "coherence": lambda vs, a: coherence_report(vs, a.p),
+    "power-sum": lambda vs, a: power_sum_report(vs, a.p),
+    "gram-rank": _gram_rank,
+    "generalized": lambda vs, a: generalized_report(vs, a.p),
+    "shifted": lambda vs, a: shifted_report(vs, a.p, 0.0 if a.c is None else a.c),
+    "shifted-unit": lambda vs, a: shifted_unit_report(
+        vs, a.p, 0.0 if a.c is None else a.c
+    ),
+}
+INEQUALITY_IDS = tuple(_CHECKS)
+
+
 def cmd_check(args) -> int:
     vs = read_vector_set(args.infile)
     ineq = args.inequality
-    if ineq == "gram-rank":
-        variant = "homogeneous" if args.kernel is None else args.kernel
-        spec = _kernel(
-            {"variant": variant, "p": args.p, "c": args.c, "gamma": args.gamma}
-        )
-        report = gram_rank_report(gram_matrix(spec, vs))
-    else:
+    if ineq != "gram-rank":
         unread = {"--kernel": args.kernel, "--gamma": args.gamma}
         if ineq not in ("shifted", "shifted-unit"):
             unread["--c"] = args.c
@@ -121,16 +125,7 @@ def cmd_check(args) -> int:
                 raise InvalidConfigError(f"{flag} does not apply to {ineq}")
         if args.p is None:
             raise InvalidConfigError(f"--p is required for {ineq}")
-        if ineq == "coherence":
-            report = coherence_report(vs, args.p)
-        elif ineq == "power-sum":
-            report = power_sum_report(vs, args.p)
-        elif ineq == "generalized":
-            report = generalized_report(vs, args.p)
-        elif ineq == "shifted":
-            report = shifted_report(vs, args.p, 0.0 if args.c is None else args.c)
-        else:
-            report = shifted_unit_report(vs, args.p, 0.0 if args.c is None else args.c)
+    report = _CHECKS[ineq](vs, args)
     text = canonical_json(report.to_dict())
     if args.out is not None:
         atomic_write(args.out, text + "\n")

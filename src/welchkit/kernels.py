@@ -140,8 +140,8 @@ class GramMatrix:
     kernel: KernelSpec
 
     def __post_init__(self):
-        a = np.array(self.matrix, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        a = np.array(check_array("Gram matrix", self.matrix, 2))
+        if a.shape[0] != a.shape[1]:
             raise ValueError("Gram matrix must be square")
         if np.any(a.diagonal().imag != 0.0) or np.any(a.diagonal().real < 0.0):
             raise ValueError("Gram diagonal must be real and non-negative")

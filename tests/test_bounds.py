@@ -24,6 +24,7 @@ from welchkit.errors import (
     TooFewVectorsError,
 )
 from welchkit.features import binomial
+from welchkit.frames import random_unit_vectors
 from welchkit.kernels import KernelSpec, VectorSet, gram_matrix
 
 
@@ -310,6 +311,21 @@ class TestShiftedReport:
         with pytest.raises(ValueError):
             shifted_report(orthonormal(2), 1, -1.0)
 
+    @pytest.mark.parametrize("p, c", [(30, 0.0), (60, 0.5)])
+    def test_norms_within_metadata_tolerance_pass_the_cross_check(self, p, c):
+        """Norms 1 + 9e-13 are within 1e-12 of 1 and may move the general rhs
+        by up to (1 + 1e-12)^(4p) - 1 of rhs_unit: more than 1e-10 here."""
+        vs = VectorSet(random_unit_vectors(300, 2, seed=1).vectors * (1 + 9e-13))
+        rep = shifted_report(vs, p, c)
+        assert rep.holds
+        gap = abs(rep.rhs - rep.rhs_unit)
+        assert 1e-10 * rep.rhs_unit < gap <= ((1 + 1e-12) ** (4 * p) - 1) * rep.rhs_unit
+
+    def test_cross_check_tolerance_does_not_overflow_at_huge_degree(self):
+        """(1 + 1e-12)^(4p) is past float range at p = 1e15; the report still holds."""
+        rep = shifted_report(VectorSet(vectors=np.array([[1.0], [-1.0]])), 10**15, 0.0)
+        assert rep.holds and rep.rhs_unit == rep.rhs
+
 
 class TestShiftedUnitReport:
     def test_matches_general_form_on_unit_sets(self):
@@ -354,6 +370,65 @@ class TestCoherenceReport:
             coherence_report(
                 VectorSet(vectors=2 * np.eye(3), field="real"), 1
             )
+
+
+OMEGA = np.exp(2j * np.pi / 3)
+
+
+def tetrahedron_sic():
+    """SIC in C^2: four unit vectors with |<x_i, x_j>|^2 = 1/3, a 2-design."""
+    rows = [[1.0, 0.0]] + [[1 / np.sqrt(3), np.sqrt(2 / 3) * OMEGA**k] for k in range(3)]
+    return VectorSet(vectors=np.array(rows))
+
+
+def octahedron_mubs():
+    """The three mutually unbiased bases of C^2: six vectors, a 3-design."""
+    s = 1 / np.sqrt(2)
+    rows = [[1, 0], [0, 1], [s, s], [s, -s], [s, 1j * s], [s, -1j * s]]
+    return VectorSet(vectors=np.array(rows, dtype=complex))
+
+
+def qutrit_mubs():
+    """The four mutually unbiased bases of C^3: the standard basis and
+    (omega^(a k^2 + b k))_k / sqrt(3) for a, b in {0, 1, 2}; a 2-design."""
+    k = np.arange(3)
+    rows = [OMEGA ** (a * k**2 + b * k) / np.sqrt(3) for a in range(3) for b in range(3)]
+    return VectorSet(vectors=np.vstack([np.eye(3), rows]))
+
+
+def homogeneous_gram_rank_report(vs, p):
+    return gram_rank_report(gram_matrix(KernelSpec.homogeneous(p), vs))
+
+
+class TestExactDesigns:
+    """A complex projective t-design meets the degree-p bounds for p <= t and
+    misses them by a clear margin at p = t + 1."""
+
+    @pytest.mark.parametrize(
+        "design, strength",
+        [
+            pytest.param(tetrahedron_sic, 2, id="tetrahedron-sic"),
+            pytest.param(octahedron_mubs, 3, id="octahedron-mubs"),
+            pytest.param(qutrit_mubs, 2, id="qutrit-mubs"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "report",
+        [
+            pytest.param(power_sum_report, id="power-sum"),
+            pytest.param(generalized_report, id="generalized"),
+            pytest.param(homogeneous_gram_rank_report, id="gram-rank"),
+        ],
+    )
+    def test_tight_exactly_up_to_design_strength(self, design, strength, report):
+        vs = design()
+        for p in range(1, strength + 1):
+            rep = report(vs, p)
+            assert rep.tight, p
+            assert abs(rep.slack) <= 1e-12 * rep.rhs, p
+        rep = report(vs, strength + 1)
+        assert rep.holds and not rep.tight
+        assert rep.slack >= 0.01 * rep.rhs
 
 
 class TestChainConsistency:

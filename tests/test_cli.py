@@ -37,6 +37,7 @@ def real_set_text(rows, **header):
 
 HUGE_SET = real_set_text([[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]])
 UNIT_SET = real_set_text([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+DOUBLED_SET = real_set_text([[2.0, 0.0], [0.0, 2.0], [1.2, 1.6]])
 # A scan config whose epsilon literal overflows a double.
 EPSILON_1E400 = (
     '{"kernels": [{"variant": "homogeneous", "p": 1}], '
@@ -253,14 +254,23 @@ class TestCheck:
                                     "--c", "1e200"), 4, id="shifted-overflow"),
             pytest.param(HUGE_SET, ("check", "--inequality", "generalized", "--p", "2"),
                          0, id="generalized-rescaled"),
+            # An argument error exits 2 before any unit-norm gate (exit 4) runs.
+            *(
+                pytest.param(DOUBLED_SET, ("check", "--inequality", ineq, "--p", "0"), 2,
+                             id=f"{ineq}-p0-non-unit")
+                for ineq in ("coherence", "power-sum", "generalized", "shifted",
+                             "shifted-unit")
+            ),
         ],
     )
     def test_malformed_files_exit_cleanly(self, tmp_path, capsys, text, argv, code):
         path = tmp_path / "set.json"
         path.write_text(text)
-        got, _, err = run(capsys, *argv, "--in", str(path))
+        got, out, err = run(capsys, *argv, "--in", str(path))
         assert got == code
         assert "Traceback" not in err
+        if code != 0:
+            assert out == ""
 
 
 class TestOptimize:

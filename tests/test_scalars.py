@@ -25,7 +25,13 @@ from welchkit.frames import (
     random_unit_vectors,
     simplex_frame,
 )
-from welchkit.kernels import KernelSpec, VectorSet, gram_matrix, inner_product
+from welchkit.kernels import (
+    GramMatrix,
+    KernelSpec,
+    VectorSet,
+    gram_matrix,
+    inner_product,
+)
 from welchkit.linalg import clamp_psd, hermitian_eigenvalues, numerical_rank
 
 
@@ -123,6 +129,8 @@ ARRAY_ENTRY_POINTS = [
     pytest.param(hermitian_eigenvalues, np.eye(2), id="hermitian_eigenvalues"),
     pytest.param(lambda a: FeatureMatrix(a, KernelSpec.homogeneous(1)), np.eye(2),
                  id="FeatureMatrix"),
+    pytest.param(lambda a: GramMatrix(a, KernelSpec.homogeneous(1)), np.eye(2),
+                 id="GramMatrix"),
 ]
 
 
