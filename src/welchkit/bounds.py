@@ -165,8 +165,11 @@ def _kernel_report(
     lhs = power_sum(table, p)
     norms = vs.norms()
     near_unit = unit or np.max(np.abs(norms - 1.0)) <= UNIT_METADATA_TOL
-    rhs_unit = vs.m**2 * (1.0 + c) ** (2 * p) / r if near_unit else None
-    rhs = rhs_unit if unit else float(np.sum((norms**2 + c) ** p)) ** 2 / r
+    try:  # Python float powers raise OverflowError where numpy gives inf
+        rhs_unit = vs.m**2 * (1.0 + c) ** (2 * p) / r if near_unit else None
+        rhs = rhs_unit if unit else float(np.sum((norms**2 + c) ** p)) ** 2 / r
+    except OverflowError:
+        raise NumericalError(f"{inequality_id}: rhs is beyond float range") from None
     # Norms within d = UNIT_METADATA_TOL of 1 keep each (|x_i|^2 + c) / (1 + c)
     # in [(1-d)^2, (1+d)^2], so |rhs - rhs_unit| <= ((1+d)^(4p) - 1) rhs_unit;
     # 1e-10 more covers rounding.  Past e^700 the bound is vacuous anyway.

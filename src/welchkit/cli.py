@@ -18,6 +18,7 @@ class carries its code as exit_code.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -71,25 +72,18 @@ def _kernel(entry) -> KernelSpec:
 
 
 def cmd_gen(args) -> int:
+    if args.n is None or (args.kind == "random" and args.m is None):
+        needs = "--m and --n" if args.kind == "random" else "--n"
+        raise InvalidConfigError(f"gen {args.kind} needs {needs}")
     if args.kind == "random":
-        if args.m is None or args.n is None:
-            raise InvalidConfigError("gen random needs --m and --n")
         vs = random_unit_vectors(args.m, args.n, field=args.field, seed=args.seed)
-    elif args.kind == "simplex":
-        if args.n is None:
-            raise InvalidConfigError("gen simplex needs --n")
-        vs = simplex_frame(args.n)
     else:
-        if args.n is None:
-            raise InvalidConfigError("gen orthonormal needs --n")
-        vs = orthonormal_frame(args.n)
+        vs = simplex_frame(args.n) if args.kind == "simplex" else orthonormal_frame(args.n)
     if args.out is None:
         raise InvalidConfigError("gen needs --out to receive the file")
     write_vector_set(args.out, vs)
-    parts = [f"m={vs.m}", f"n={vs.n}"]
-    if vs.m >= 2:
-        parts.append(f"coherence={format_float(coherence(vs))}")
-    print(" ".join(parts))
+    tail = f" coherence={format_float(coherence(vs))}" if vs.m >= 2 else ""
+    print(f"m={vs.m} n={vs.n}{tail}")
     return 0
 
 
@@ -220,6 +214,7 @@ def cmd_embed_check(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="welch",
@@ -234,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--m", type=int, help="number of vectors (random only)")
     gen.add_argument("--n", type=int, help="ambient dimension")
     gen.add_argument("--field", choices=("real", "complex"), default="complex")
-    gen.set_defaults(func=cmd_gen)
 
     check = sub.add_parser("check", help="evaluate one inequality")
     check.add_argument("--in", dest="infile", required=True, help="vector-set file")
@@ -248,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="Gram kernel for gram-rank (default homogeneous)",
     )
     check.add_argument("--gamma", type=float, help="gaussian kernel width")
-    check.set_defaults(func=cmd_check)
 
     opt = sub.add_parser("optimize", help="minimize frame potential")
     opt.add_argument("--seed", type=int, default=0, help="PRNG seed")
@@ -259,30 +252,27 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--max-iters", type=int, default=5000)
     opt.add_argument("--grad-tol", type=float, default=1e-8)
     opt.add_argument("--restarts", type=int, default=5)
-    opt.set_defaults(func=cmd_optimize)
 
     scan = sub.add_parser("rank-scan", help="kernel-family rank scan")
     scan.add_argument("--config", required=True, help="JSON scan configuration")
-    scan.set_defaults(func=cmd_rank_scan)
 
     embed = sub.add_parser("embed-check", help="verify the explicit feature map")
     embed.add_argument("--in", dest="infile", required=True, help="vector-set file")
     embed.add_argument("--p", type=int, help="kernel degree")
     embed.add_argument("--c", type=float, help="shift; selects the shifted kernel")
-    embed.set_defaults(func=cmd_embed_check)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            # By name per call: the cached parser must not pin a cmd_* object.
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
     except WelchKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

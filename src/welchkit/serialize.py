@@ -11,7 +11,8 @@ Vector-set files are JSON documents
      "vectors": [[[re, im], ...] per vector], "labels": [...]?}
 
 with every entry an explicit [re, im] pair regardless of field; a "real"
-file must have all imaginary parts exactly 0.
+file must have all imaginary parts exactly 0.  Rows are read and written
+an array at a time; only the formatting of each double is per entry.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .kernels import VectorSet
 def format_float(x: float) -> str:
     """17-significant-digit decimal form; integral values keep a '.0' tail."""
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("cannot serialize a non-finite number")
     text = f"{x:.17g}"
     if "." not in text and "e" not in text and "E" not in text:
@@ -52,6 +53,12 @@ def canonical_json(obj) -> str:
         return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.size:
+        # One pass over the doubles, then nest the texts, innermost axis first.
+        texts = [format_float(x) for x in obj.ravel().tolist()]
+        for k in reversed(obj.shape):
+            texts = [f"[{','.join(texts[i : i + k])}]" for i in range(0, len(texts), k)]
+        return texts[0]
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -120,12 +127,14 @@ def atomic_write(path: str, text: str):
         raise
 
 
-def vector_set_to_dict(vs: VectorSet) -> dict:
+def _pairs(vs: VectorSet) -> np.ndarray:
     # (m, n) complex reinterpreted as (m, n, 2) doubles: [re, im] per entry.
     # The reinterpretation needs C order; a transposed set may be in F order.
-    rows = np.ascontiguousarray(vs.vectors)
-    vectors = rows.view(np.float64).reshape(vs.m, vs.n, 2).tolist()
-    doc = {"field": vs.field, "n": vs.n, "m": vs.m, "vectors": vectors}
+    return np.ascontiguousarray(vs.vectors).view(np.float64).reshape(vs.m, vs.n, 2)
+
+
+def vector_set_to_dict(vs: VectorSet) -> dict:
+    doc = {"field": vs.field, "n": vs.n, "m": vs.m, "vectors": _pairs(vs).tolist()}
     if vs.labels is not None:
         doc["labels"] = list(vs.labels)
     return doc
@@ -134,41 +143,42 @@ def vector_set_to_dict(vs: VectorSet) -> dict:
 def vector_set_from_dict(doc) -> VectorSet:
     if not isinstance(doc, dict):
         raise ValueError("vector-set document must be a JSON object")
-    allowed = {"field", "n", "m", "vectors", "labels"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - {"field", "n", "m", "vectors", "labels"}
     if unknown:
         raise ValueError(f"unknown keys in vector-set document: {sorted(unknown)}")
     for key in ("field", "n", "m", "vectors"):
         if key not in doc:
             raise ValueError(f"vector-set document missing {key!r}")
-    field = doc["field"]
     m, n = check_int("m", doc["m"], 1), check_int("n", doc["n"], 1)
     rows = doc["vectors"]
     if not isinstance(rows, list) or len(rows) != m:
         raise ValueError("vectors must be a list of m rows")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ValueError(f"vector {i} must be a list of n entries")
-        for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in entry)
-            ):
-                raise ValueError(f"entry ({i}, {j}) must be a [re, im] pair")
-    # (m, n, 2) doubles reinterpreted as (m, n) complex: bit-exact, no arithmetic.
-    data = np.array(rows, dtype=np.float64).view(np.complex128)[..., 0]
-    labels = None
-    if "labels" in doc:
-        raw = doc["labels"]
-        if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
-            raise ValueError("labels must be a list of strings")
-        labels = tuple(raw)
-    return VectorSet(vectors=data, field=field, labels=labels)
+    # One object array: a ragged row or a non-number entry shows in its shape or types.
+    table = np.array(rows, dtype=object)
+    if table.shape != (m, n, 2) or not set(map(type, table.ravel().tolist())) <= {int, float}:
+        for i, row in enumerate(rows):  # error path only, and it always raises
+            if not isinstance(row, list) or len(row) != n:
+                raise ValueError(f"vector {i} must be a list of n entries")
+            for j, entry in enumerate(row):
+                if not (isinstance(entry, list) and len(entry) == 2
+                        and set(map(type, entry)) <= {int, float}):
+                    raise ValueError(f"entry ({i}, {j}) must be a [re, im] pair")
+    try:
+        # (m, n, 2) doubles reinterpreted as (m, n) complex: bit-exact, no arithmetic.
+        data = table.astype(np.float64).view(np.complex128)[..., 0]
+    except OverflowError:  # an integer entry beyond float range
+        raise ValueError("vector entries must lie within float range") from None
+    raw = doc.get("labels", [])
+    if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
+        raise ValueError("labels must be a list of strings")
+    labels = tuple(raw) if "labels" in doc else None
+    return VectorSet(vectors=data, field=doc["field"], labels=labels)
 
 
 def write_vector_set(path: str, vs: VectorSet):
-    atomic_write(path, canonical_json(vector_set_to_dict(vs)) + "\n")
+    # The bytes of canonical_json(vector_set_to_dict(vs)), rows in one pass.
+    doc = {**vector_set_to_dict(vs), "vectors": _pairs(vs)}
+    atomic_write(path, canonical_json(doc) + "\n")
 
 
 def read_vector_set(path: str) -> VectorSet:

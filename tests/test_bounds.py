@@ -343,6 +343,23 @@ class TestShiftedUnitReport:
         with pytest.raises(NotUnitNormError):
             shifted_unit_report(vs, 1, 0.5)
 
+    @pytest.mark.parametrize(
+        "report, vs, p, c",
+        [
+            # (1 + c)^(2p) = 2^1200 in the unit form.
+            (shifted_unit_report, random_unit_vectors(4, 2, seed=1), 600, 1.0),
+            (shifted_report, random_unit_vectors(4, 2, seed=1), 600, 1.0),
+            # (sum_i |x_i|^4)^2 = 4e400 in the trace form.
+            (shifted_report, VectorSet(vectors=1e50 * np.eye(2)), 2, 0.0),
+        ],
+        ids=["unit-form", "shifted-unit-norms", "shifted-trace-form"],
+    )
+    def test_rhs_beyond_float_range_is_numerical_error(self, report, vs, p, c):
+        """A NumericalError, not a bare OverflowError.  numpy's own overflow
+        in the lhs is silenced so that the rhs is reached."""
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="float range"):
+            report(vs, p, c)
+
 
 class TestCoherenceReport:
     def test_simplex_equality(self):

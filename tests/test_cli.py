@@ -38,6 +38,16 @@ def real_set_text(rows, **header):
 HUGE_SET = real_set_text([[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]])
 UNIT_SET = real_set_text([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
 DOUBLED_SET = real_set_text([[2.0, 0.0], [0.0, 2.0], [1.2, 1.6]])
+
+
+def bad_entry_text(entry):
+    """Vector-set file text of a 2 x 2 real set whose entry (1, 0) is entry."""
+    return (
+        '{"field": "real", "n": 2, "m": 2, '
+        f'"vectors": [[[1.0, 0.0], [0.0, 0.0]], [{entry}, [1.0, 0.0]]]}}'
+    )
+
+
 # A scan config whose epsilon literal overflows a double.
 EPSILON_1E400 = (
     '{"kernels": [{"variant": "homogeneous", "p": 1}], '
@@ -254,6 +264,23 @@ class TestCheck:
                                     "--c", "1e200"), 4, id="shifted-overflow"),
             pytest.param(HUGE_SET, ("check", "--inequality", "generalized", "--p", "2"),
                          0, id="generalized-rescaled"),
+            pytest.param(UNIT_SET, ("check", "--inequality", "shifted-unit", "--p", "600",
+                                    "--c", "1"), 4, id="shifted-unit-rhs-overflow"),
+            # Entries the array-at-a-time read must reject, each exit 2.
+            *(
+                pytest.param(bad_entry_text(entry),
+                             ("check", "--inequality", "power-sum", "--p", "1"), 2,
+                             id=f"entry-{name}")
+                for name, entry in (
+                    ("true", "[true, 0.0]"), ("string", '["1", 0.0]'), ("null", "[0.0, null]"),
+                    ("bare-null", "null"), ("triple", "[1.0, 0.0, 0.0]"),
+                    ("nested", "[1, [2]]"), ("dict", '{"re": 1.0, "im": 0.0}'),
+                    ("float-1e400", "[1e400, 0.0]"),
+                )
+            ),
+            pytest.param(real_set_text([[1.0, 0.0], [1.0]]),
+                         ("check", "--inequality", "power-sum", "--p", "1"), 2,
+                         id="ragged-row"),
             # An argument error exits 2 before any unit-norm gate (exit 4) runs.
             *(
                 pytest.param(DOUBLED_SET, ("check", "--inequality", ineq, "--p", "0"), 2,
@@ -625,6 +652,37 @@ def test_every_error_class_exits_with_its_code(monkeypatch, capsys):
         got, _, err = run(capsys, "gen", "simplex", "--n", "2")
         assert got == code, cls.__name__
         assert err == "error: injected\n"
+
+
+class TestParserReuse:
+    """main() builds its parser once per process; no parse leaks into the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_out_of_one_check_is_not_reused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "set.json").write_text(UNIT_SET)
+        argv = ("check", "--in", "set.json", "--inequality", "power-sum", "--p", "1")
+        first, out_a, _ = run(capsys, *argv, "--out", "a.json")
+        assert first == 0
+        (tmp_path / "a.json").unlink()
+        second, out_b, _ = run(capsys, *argv)
+        assert second == 0 and out_b == out_a
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["set.json"]
+
+    def test_default_seed_after_an_explicit_one(self, capsys):
+        argv = ("optimize", "--m", "3", "--n", "2", "--p", "1", "--restarts", "1")
+        seeded, seeded_out, _ = run(capsys, *argv, "--seed", "3")
+        code, stdout, _ = run(capsys, *argv)
+        assert seeded == 0 and seeded_out != stdout  # a leftover seed would show
+        src = os.path.dirname(os.path.dirname(welchkit.__file__))
+        fresh = subprocess.run(
+            [sys.executable, "-c", "from welchkit.cli import entry; entry()", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert (code, stdout) == (fresh.returncode, fresh.stdout)
 
 
 @pytest.mark.parametrize(

@@ -181,11 +181,93 @@ class TestVectorSetFiles:
         with pytest.raises(ValueError):
             vector_set_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [[True, 0.0], ["1", 0.0], [0.0, None], None, [1.0, 0.0, 0.0], [1, [2]],
+         {"re": 1.0, "im": 0.0}, [1.0]],
+        ids=["bool", "string", "null", "bare-null", "triple", "nested", "dict", "single"],
+    )
+    def test_rejected_entry_is_named(self, entry):
+        doc = vector_set_to_dict(orthonormal_frame(3))
+        doc["vectors"][1][2] = entry
+        with pytest.raises(ValueError, match=r"entry \(1, 2\) must be a \[re, im\] pair"):
+            vector_set_from_dict(doc)
+
+    def test_rejected_row_is_named(self):
+        doc = vector_set_to_dict(orthonormal_frame(3))
+        doc["vectors"][2] = doc["vectors"][2][:2]
+        with pytest.raises(ValueError, match="vector 2 must be a list of n entries"):
+            vector_set_from_dict(doc)
+
+    def test_integer_beyond_float_range_is_value_error(self):
+        doc = vector_set_to_dict(orthonormal_frame(2))
+        doc["vectors"][0][1] = [0, 10**400]
+        with pytest.raises(ValueError, match="float range"):
+            vector_set_from_dict(doc)
+
+    def test_integer_entries_read_as_doubles(self):
+        doc = vector_set_to_dict(orthonormal_frame(2))
+        doc["field"], doc["vectors"] = "complex", [[[1, 0], [0, 0]], [[0, 0], [2**60 + 1, -3]]]
+        back = vector_set_from_dict(doc)
+        assert np.array_equal(back.vectors, [[1, 0], [0, float(2**60 + 1) - 3j]])
+
     def test_rejects_bad_labels(self):
         doc = vector_set_to_dict(orthonormal_frame(2))
         doc["labels"] = [1, 2]
         with pytest.raises(ValueError):
             vector_set_from_dict(doc)
+
+
+def special_values_set(field):
+    """Signed zeros, extreme exponents and integral values in every slot."""
+    re = np.array([[-0.0, 1e-300, 1e300], [3.0, -2.0, 0.1], [5e-324, 2.0**60, -1e-300]])
+    z = re.astype(np.complex128)  # re + 1j * im would turn -0.0 into 0.0
+    if field == "complex":
+        z.imag = re[::-1]
+    return VectorSet(vectors=z, field=field)
+
+
+class TestVectorSetWriter:
+    """write_vector_set formats the rows in one pass; its bytes must equal the
+    recursive canonical_json of the same document."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: simplex_frame(3), id="real-simplex"),
+            pytest.param(lambda: random_vectors(np.random.default_rng(85), 7, 3), id="complex"),
+            pytest.param(
+                lambda: VectorSet(random_vectors(np.random.default_rng(86), 2, 2).vectors,
+                                  field="complex", labels=("a", 'q"\u00e9')),
+                id="labelled",
+            ),
+            pytest.param(lambda: special_values_set("real"), id="special-real"),
+            pytest.param(lambda: special_values_set("complex"), id="special-complex"),
+            pytest.param(lambda: VectorSet(np.array([[1.5 - 0.0j]])), id="one-entry"),
+            pytest.param(
+                lambda: VectorSet(np.asfortranarray(special_values_set("complex").vectors)),
+                id="fortran-order",
+            ),
+        ],
+    )
+    def test_bytes_match_canonical_json_and_read_back_exactly(self, tmp_path, make):
+        vs = make()
+        path = tmp_path / "set.json"
+        write_vector_set(str(path), vs)
+        assert path.read_text() == canonical_json(vector_set_to_dict(vs)) + "\n"
+        back = read_vector_set(str(path))
+        assert back.vectors.tobytes() == np.ascontiguousarray(vs.vectors).tobytes()
+        assert (back.field, back.labels) == (vs.field, vs.labels)
+
+    def test_array_branch_matches_nested_lists(self):
+        rng = np.random.default_rng(87)
+        for shape in [(), (4,), (3, 2), (2, 3, 2), (1, 1, 1, 2)]:
+            a = rng.standard_normal(shape)
+            assert canonical_json(a) == canonical_json(a.tolist())
+
+    def test_array_branch_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            canonical_json(np.array([[1.0, np.nan]]))
 
 
 class TestBoundReportRoundTrip:
