@@ -249,8 +249,6 @@ def shifted_unit_report(vs: VectorSet, p: int, c: float) -> BoundReport:
 
 def coherence_report(vs: VectorSet, p: int) -> BoundReport:
     """Coherence vs the 2p-th root bound; assumes unit-norm vectors."""
-    if vs.m < 2:
-        raise TooFewVectorsError("coherence needs at least two vectors")
     p = check_int("degree p", p, 1)
     _require_unit_norms(vs, UNIT_NORM_TOL)
     lhs = coherence(vs)

@@ -32,7 +32,7 @@ from .bounds import (
     shifted_report,
     shifted_unit_report,
 )
-from .errors import InvalidConfigError, NumericalError, WelchKitError
+from .errors import InvalidConfigError, NumericalError, WelchKitError, check_object
 from .features import embedding_dim, feature_matrix
 from .frames import (
     OptimizerConfig,
@@ -59,11 +59,9 @@ def _kernel(entry) -> KernelSpec:
     Keys are variant, p, c and gamma; an absent key means None, except that a
     shifted kernel's c defaults to 0.  KernelSpec validates the values.
     """
-    if not isinstance(entry, dict):
-        raise InvalidConfigError("each kernel entry must be a JSON object")
-    unknown = set(entry) - {"variant", "p", "c", "gamma"}
-    if unknown:
-        raise InvalidConfigError(f"unknown kernel keys: {sorted(unknown)}")
+    check_object(
+        "kernel entry", entry, (), ("variant", "p", "c", "gamma"), InvalidConfigError
+    )
     variant = entry.get("variant")
     c = entry.get("c")
     if variant == "shifted" and c is None:
@@ -79,8 +77,6 @@ def cmd_gen(args) -> int:
         vs = random_unit_vectors(args.m, args.n, field=args.field, seed=args.seed)
     else:
         vs = simplex_frame(args.n) if args.kind == "simplex" else orthonormal_frame(args.n)
-    if args.out is None:
-        raise InvalidConfigError("gen needs --out to receive the file")
     write_vector_set(args.out, vs)
     tail = f" coherence={format_float(coherence(vs))}" if vs.m >= 2 else ""
     print(f"m={vs.m} n={vs.n}{tail}")
@@ -148,17 +144,15 @@ def cmd_optimize(args) -> int:
 
 
 def _load_scan_config(path: str) -> dict:
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         doc = parse_json(handle.read())
-    if not isinstance(doc, dict):
-        raise InvalidConfigError("scan config must be a JSON object")
-    allowed = {"kernels", "n", "m", "trials", "seed", "epsilon", "csv_out", "json_out"}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise InvalidConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("kernels", "n", "m", "trials", "seed"):
-        if key not in doc:
-            raise InvalidConfigError(f"scan config missing {key!r}")
+    check_object(
+        "scan config",
+        doc,
+        ("kernels", "n", "m", "trials", "seed"),
+        ("epsilon", "csv_out", "json_out"),
+        InvalidConfigError,
+    )
     for key in ("csv_out", "json_out"):
         if doc.get(key) is not None and not isinstance(doc[key], str):
             raise InvalidConfigError(f"{key} must be a path string")
@@ -225,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="write a vector-set file")
     gen.add_argument("kind", choices=("random", "simplex", "orthonormal"))
     gen.add_argument("--seed", type=int, default=0, help="PRNG seed")
-    gen.add_argument("--out", help="output file path")
+    gen.add_argument("--out", required=True, help="output file path")
     gen.add_argument("--m", type=int, help="number of vectors (random only)")
     gen.add_argument("--n", type=int, help="ambient dimension")
     gen.add_argument("--field", choices=("real", "complex"), default="complex")

@@ -6,7 +6,8 @@ as an integer or a real parameter: any ``numbers.Integral`` or
 INT64_MAX unless the caller sets another bound) or a finite ``float``.
 ``check_array`` is the same for vectors and matrices: a numeric (not bool)
 array, returned as complex128, with the expected number of axes, none
-empty, every entry finite.
+empty, every entry finite.  ``check_object`` is the same for JSON objects:
+a dict with no unknown key and every required key.
 """
 
 import math
@@ -107,11 +108,24 @@ def check_real(
     except OverflowError:  # an int or a Fraction beyond float range
         number = math.inf
     if not math.isfinite(number):
-        raise error(f"{name} must be finite, got {_shown(value)}")
+        raise error(f"{name} must be finite and within float range, got {_shown(value)}")
     if not (lo < number < hi if exclusive else lo <= number <= hi):
         ends = "()" if exclusive else "[]"
         raise error(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {number!r}")
     return number
+
+
+def check_object(name, doc, required, optional=(), error=ValueError):
+    """Raise error unless doc is a dict whose keys are all in required or
+    optional and include every key of required."""
+    if not isinstance(doc, dict):
+        raise error(f"{name} must be a JSON object")
+    unknown = set(doc).difference(required, optional)
+    if unknown:
+        raise error(f"unknown keys in {name}: {sorted(unknown)}")
+    for key in required:
+        if key not in doc:
+            raise error(f"{name} missing {key!r}")
 
 
 def check_array(name, value, ndim) -> np.ndarray:

@@ -13,6 +13,11 @@ Vector-set files are JSON documents
 with every entry an explicit [re, im] pair regardless of field; a "real"
 file must have all imaginary parts exactly 0.  Rows are read and written
 an array at a time; only the formatting of each double is per entry.
+
+Every JSON input is read as UTF-8 and parsed by parse_json, which rejects
+only what no reader could: NaN/Infinity literals and over-deep nesting.  A
+number beyond float range is rejected by the reader of its field, which
+names the field.
 """
 
 from __future__ import annotations
@@ -20,12 +25,11 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 import tempfile
 
 import numpy as np
 
-from .errors import check_int
+from .errors import check_int, check_object
 from .frames import OptimizeResult
 from .kernels import VectorSet
 
@@ -75,30 +79,12 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name!r} is not allowed")
 
 
-def _parse_int(text: str) -> int:
-    value = int(text)
-    if abs(value) > sys.float_info.max:
-        raise ValueError(f"a {len(text)}-digit integer is beyond float range")
-    return value
-
-
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"number {text!r} is beyond float range")
-    return value
-
-
 def parse_json(text: str):
-    """json.loads for every JSON input: NaN/Infinity, numbers beyond float
-    range and over-deep nesting raise ValueError."""
+    """json.loads for every JSON input: NaN/Infinity literals and over-deep
+    nesting raise ValueError.  A number beyond float range parses (1e400 as
+    inf, 10**400 as an int) and is left to the reader of its field."""
     try:
-        return json.loads(
-            text,
-            parse_constant=_reject_constant,
-            parse_int=_parse_int,
-            parse_float=_parse_float,
-        )
+        return json.loads(text, parse_constant=_reject_constant)
     except RecursionError:
         raise ValueError("JSON nesting is too deep") from None
 
@@ -141,14 +127,7 @@ def vector_set_to_dict(vs: VectorSet) -> dict:
 
 
 def vector_set_from_dict(doc) -> VectorSet:
-    if not isinstance(doc, dict):
-        raise ValueError("vector-set document must be a JSON object")
-    unknown = set(doc) - {"field", "n", "m", "vectors", "labels"}
-    if unknown:
-        raise ValueError(f"unknown keys in vector-set document: {sorted(unknown)}")
-    for key in ("field", "n", "m", "vectors"):
-        if key not in doc:
-            raise ValueError(f"vector-set document missing {key!r}")
+    check_object("vector-set document", doc, ("field", "n", "m", "vectors"), ("labels",))
     m, n = check_int("m", doc["m"], 1), check_int("n", doc["n"], 1)
     rows = doc["vectors"]
     if not isinstance(rows, list) or len(rows) != m:
@@ -166,8 +145,8 @@ def vector_set_from_dict(doc) -> VectorSet:
     try:
         # (m, n, 2) doubles reinterpreted as (m, n) complex: bit-exact, no arithmetic.
         data = table.astype(np.float64).view(np.complex128)[..., 0]
-    except OverflowError:  # an integer entry beyond float range
-        raise ValueError("vector entries must lie within float range") from None
+    except OverflowError:  # an integer entry beyond float range; VectorSet rejects inf
+        raise ValueError("vectors entries must lie within float range") from None
     raw = doc.get("labels", [])
     if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
         raise ValueError("labels must be a list of strings")
@@ -182,7 +161,7 @@ def write_vector_set(path: str, vs: VectorSet):
 
 
 def read_vector_set(path: str) -> VectorSet:
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         return vector_set_from_dict(parse_json(handle.read()))
 
 

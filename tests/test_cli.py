@@ -48,6 +48,29 @@ def bad_entry_text(entry):
     )
 
 
+# JSON literals beyond float range, by test id; json.dumps writes 1e400 as Infinity.
+BEYOND_FLOAT = {"1e400": "1e400", "minus-1e400": "-1e400", "int-1e400": str(10**400)}
+
+
+def with_literal(text, literal):
+    """text with its string "LITERAL" replaced by the bare JSON literal."""
+    return text.replace('"LITERAL"', literal)
+
+
+def scan_config_text(key, literal):
+    """Scan config text whose key holds the JSON literal; p, c and gamma sit
+    in a kernel entry of the variant that reads them."""
+    config = {"kernels": [{"variant": "homogeneous", "p": 1}], "n": 2, "m": 8,
+              "trials": 3, "seed": 5, "epsilon": 1e-8}
+    kernel = {"p": {"variant": "homogeneous"}, "c": {"variant": "shifted", "p": 1},
+              "gamma": {"variant": "gaussian"}}
+    if key in kernel:
+        config["kernels"] = [{**kernel[key], key: "LITERAL"}]
+    else:
+        config[key] = "LITERAL"
+    return with_literal(json.dumps(config), literal)
+
+
 # A scan config whose epsilon literal overflows a double.
 EPSILON_1E400 = (
     '{"kernels": [{"variant": "homogeneous", "p": 1}], '
@@ -111,6 +134,12 @@ class TestGen:
         code, _, err = run(capsys, "gen", "random", "--m", "3", "--n", "2")
         assert code == 2
         assert "out" in err
+
+    def test_missing_out_fails_before_the_draw(self, capsys):
+        code, out, err = run(capsys, "gen", "random", "--m", "100000000000", "--n", "8")
+        assert code == 2
+        assert out == ""
+        assert "--out" in err and "allocate" not in err
 
     def test_random_needs_m_and_n(self, capsys):
         code, _, _ = run(capsys, "gen", "random", "--n", "2", "--out", "/dev/null")
@@ -288,6 +317,13 @@ class TestCheck:
                 for ineq in ("coherence", "power-sum", "generalized", "shifted",
                              "shifted-unit")
             ),
+            # ... and before the too-few-vectors gate (exit 4).
+            pytest.param(real_set_text([[1.0, 0.0]]),
+                         ("check", "--inequality", "coherence", "--p", "0"), 2,
+                         id="coherence-p0-one-vector"),
+            pytest.param(real_set_text([[1.0, 0.0]]),
+                         ("check", "--inequality", "coherence", "--p", "1"), 4,
+                         id="coherence-one-vector"),
         ],
     )
     def test_malformed_files_exit_cleanly(self, tmp_path, capsys, text, argv, code):
@@ -298,6 +334,29 @@ class TestCheck:
         assert "Traceback" not in err
         if code != 0:
             assert out == ""
+
+    @pytest.mark.parametrize("literal", BEYOND_FLOAT.values(), ids=BEYOND_FLOAT.keys())
+    @pytest.mark.parametrize(
+        "text, needle",
+        [
+            pytest.param(real_set_text([[1.0, 0.0]], n="LITERAL"), "error: n must", id="n"),
+            pytest.param(real_set_text([[1.0, 0.0]], m="LITERAL"), "error: m must", id="m"),
+            pytest.param(bad_entry_text('["LITERAL", 0.0]'), "error: vectors entries",
+                         id="re"),
+            pytest.param(bad_entry_text('[0.0, "LITERAL"]'), "error: vectors entries",
+                         id="im"),
+        ],
+    )
+    def test_beyond_float_value_names_its_field(self, tmp_path, capsys, text, needle,
+                                                literal):
+        path = tmp_path / "set.json"
+        path.write_text(with_literal(text, literal))
+        got, out, err = run(capsys, "check", "--inequality", "power-sum", "--p", "1",
+                            "--in", str(path))
+        assert got == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert needle in err
 
 
 class TestOptimize:
@@ -317,7 +376,7 @@ class TestOptimize:
 
     def test_readme_example_prints_its_comment_line(self, tmp_path, capsys):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        with open(readme) as handle:
+        with open(readme, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
         at = next(i for i, line in enumerate(lines) if line.startswith("welch optimize "))
         argv = lines[at].split()[1:]
@@ -449,6 +508,16 @@ class TestRankScan:
             pytest.param(DEEP_JSON, 2, "nesting", id="nested-1e5-deep"),
             pytest.param({"epsilon": 1e-14}, 2, "epsilon", id="tiny-epsilon"),
             pytest.param(EPSILON_1E400, 2, "float range", id="float-beyond-epsilon"),
+            *(
+                pytest.param(scan_config_text(key, literal), 2, needle, id=f"{key}-{name}")
+                for key, needle in (
+                    ("n", "error: n must"), ("m", "error: m must"),
+                    ("trials", "error: trials must"), ("seed", "error: seed must"),
+                    ("epsilon", "error: epsilon must"), ("p", "kernel degree p must"),
+                    ("c", "kernel parameter c"), ("gamma", "kernel parameter gamma must"),
+                )
+                for name, literal in BEYOND_FLOAT.items()
+            ),
         ],
     )
     def test_malformed_values_exit_cleanly(self, tmp_path, capsys, overrides, code, needle):
@@ -649,7 +718,7 @@ def test_every_error_class_exits_with_its_code(monkeypatch, capsys):
             raise cls("injected")
 
         monkeypatch.setattr(cli, "cmd_gen", fail)
-        got, _, err = run(capsys, "gen", "simplex", "--n", "2")
+        got, _, err = run(capsys, "gen", "simplex", "--n", "2", "--out", os.devnull)
         assert got == code, cls.__name__
         assert err == "error: injected\n"
 
@@ -707,6 +776,35 @@ def test_unallocatable_size_is_argument_error(tmp_path, monkeypatch, capsys, arg
     assert err.startswith("error: ") and "allocate" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
+
+
+@pytest.mark.parametrize(
+    "command, name, doc, code, needle",
+    [
+        pytest.param(("check", "--inequality", "power-sum", "--p", "1", "--in"),
+                     "set.json", {**json.loads(UNIT_SET), "labels": ["é", "b", "c"]}, 0,
+                     None, id="vector-set-label"),
+        pytest.param(("rank-scan", "--config"), "scan.json",
+                     {"kernels": [], "n": 2, "m": 4, "trials": 1, "seed": 0, "é": 1}, 2,
+                     "unknown keys in scan config", id="scan-config-key"),
+    ],
+)
+def test_inputs_read_as_utf8_in_the_c_locale(tmp_path, command, name, doc, code, needle):
+    """RFC 8259 JSON is UTF-8, whatever the locale's encoding."""
+    path = tmp_path / name
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(welchkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "LANG": "C",
+           "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    done = subprocess.run(
+        [sys.executable, "-c", "from welchkit.cli import entry; entry()", *command,
+         str(path)],
+        env=env, capture_output=True, text=True, encoding="utf-8", timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    assert "codec" not in done.stderr
+    if needle is not None:
+        assert needle in done.stderr
 
 
 def test_import_loads_no_unused_stdlib_modules():
