@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -156,6 +157,10 @@ def _load_scan_config(path: str) -> dict:
     for key in ("csv_out", "json_out"):
         if doc.get(key) is not None and not isinstance(doc[key], str):
             raise InvalidConfigError(f"{key} must be a path string")
+        try:  # before the scan runs, not when its output is written
+            os.fsencode(doc.get(key) or "")
+        except UnicodeEncodeError:
+            raise InvalidConfigError(f"{key} {doc[key]!r} cannot be encoded as a file name")
     return doc
 
 

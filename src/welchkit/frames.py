@@ -10,15 +10,14 @@ component removed), a direction from the two-loop recursion over the last
 ``_MEMORY`` curvature pairs, step, renormalize.  Each line search starts
 from step 1 and halves it until the Armijo test holds with a strict
 decrease.  A restart stops on ``grad_tol``, when the step falls below the
-floor, or at ``max_iters``; the result records which.  Each restart starts
-from ``random_unit_vectors`` on its own stream spawned from the master seed,
-so runs are reproducible regardless of restart execution order.
+floor, or at ``max_iters``; the result records which.  Restarts run in
+lockstep on one (R, m, n) stack of at most ``_BLOCK``, each with a lone run's
+arithmetic and its own seed stream.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +37,10 @@ _MEMORY = 8
 
 # Step sizes below this end the line search (stationary at float precision).
 _STEP_FLOOR = 1e-18
+
+# Restarts run in lockstep, at most _BLOCK at a time and with at most _BLOCK_ENTRIES
+# table entries on the stack: memory grows with neither restarts nor, past a lone run, m.
+_BLOCK, _BLOCK_ENTRIES = 16, 2**16
 
 
 @dataclass(frozen=True)
@@ -156,84 +159,97 @@ def potential_gradient(vs: VectorSet, p: int) -> np.ndarray:
 
 def _project_tangent(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Remove each row's radial component (rows of x are unit vectors)."""
-    radial = np.sum(np.conj(x) * grad, axis=1).real
-    return grad - radial[:, np.newaxis] * x
+    radial = np.add.reduce(np.conj(x) * grad, axis=-1).real
+    return grad - radial[..., np.newaxis] * x
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    # np.linalg.norm's arithmetic, without its per-call argument handling.
+    return x / np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1, keepdims=True))
 
 
 def _flat(a: np.ndarray) -> np.ndarray:
-    """A contiguous complex array as a flat float64 view (re, im interleaved),
-    so the real inner product Re<a, b> is ``_flat(a) @ _flat(b)``."""
-    return a.view(np.float64).ravel()
+    """(R, m, n) complex as (R, 2mn) float rows, so Re<a, b> is a dot of rows."""
+    return a.view(np.float64).reshape(len(a), -1)
 
 
-def _two_loop(g: np.ndarray, pairs) -> np.ndarray:
-    """L-BFGS direction -H g from the curvature pairs (s, y, 1/<s, y>), oldest
-    first, with H0 = <s, y>/<y, y> of the newest pair (STEP_INIT without one)."""
-    q = -g
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dots of two (R, k) arrays, each rounded as ``a[r] @ b[r]``."""
+    return (a[:, np.newaxis, :] @ b[:, :, np.newaxis])[:, 0, 0]
+
+
+def _two_loop(g: np.ndarray, s: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """L-BFGS directions -H g, a row per restart, from (R, _MEMORY, k) pairs s, y, rho =
+    1/<s, y>, newest last, an all-zero slot a no-op; H0 = <s, y>/<y, y> or STEP_INIT."""
+    q = -g[:, :, np.newaxis]  # columns, so each row-times-column product is a dot
     alphas = []
-    for s, y, rho in reversed(pairs):
-        alpha = rho * (s @ q)
-        q -= alpha * y
-        alphas.append(alpha)
-    if not pairs:
-        return STEP_INIT * q
-    _, y, rho = pairs[-1]
-    q *= 1.0 / (rho * (y @ y))
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * (y @ q)) * s
-    return q
+    for j in reversed(range(_MEMORY)):
+        alphas.append(rho[:, j, None, None] * (s[:, j, None] @ q))
+        q -= alphas[-1] * y[:, j, :, None]
+    yy = rho[:, -1] * _dot(y[:, -1], y[:, -1])
+    q *= np.divide(1.0, yy, out=np.full(len(q), STEP_INIT), where=yy > 0)[:, None, None]
+    for j in range(_MEMORY):
+        q += (alphas.pop() - rho[:, j, None, None] * (y[:, j, None] @ q)) * s[:, j, :, None]
+    return q[:, :, 0]
 
 
-def _descend(x: np.ndarray, p: int, cfg: OptimizerConfig):
-    """One restart from x: final iterate, potential, trajectory, stop reason."""
+def _descend(x: np.ndarray, p: int, cfg: OptimizerConfig) -> list:
+    """Run the restarts stacked in x in lockstep: (x, f, trajectory, stop) for each."""
     t = inner_table(x)
     f = power_sum(t, p)
-    trajectory = [f]
-    pairs = deque(maxlen=_MEMORY)
-    x_old = g_old = None
-    stop = "max_iters"
-    for _ in range(cfg.max_iters):
+    runs, ids, trajectories = [None] * len(x), np.arange(len(x)), [[v] for v in f.tolist()]
+    s_mem = np.zeros((len(x), _MEMORY, 2 * x[0].size))
+    y_mem, rho = np.zeros_like(s_mem), np.zeros((len(x), _MEMORY))
+    for it in range(cfg.max_iters):
         rgrad = _project_tangent(x, _gradient_raw(x, t, p))
         g = _flat(rgrad)
-        if math.sqrt(g @ g) < cfg.grad_tol:
-            stop = "grad_tol"
-            break
-        if x_old is not None:
+        if it:
             # Curvature pair in this tangent space; kept only if <s, y> > 0.
             s = _flat(_project_tangent(x, x - x_old))
             y = g - _flat(_project_tangent(x, g_old))
-            sy = s @ y
-            if sy > 0:
-                pairs.append((s, y, 1.0 / sy))
-        d = _two_loop(g, pairs)
-        if g @ d >= 0:  # not a descent direction: drop the memory
-            pairs.clear()
-            d = _two_loop(g, pairs)
-        slope = g @ d
+            sy = _dot(s, y)
+            new = slice(None) if (sy > 0).all() else sy > 0
+            for mem, pair in ((s_mem, s), (y_mem, y), (rho, 1.0 / np.where(sy > 0, sy, 1.0))):
+                mem[new, :-1], mem[new, -1] = mem[new, 1:], pair[new]  # oldest slot out
+        d = _two_loop(g, s_mem, y_mem, rho)
+        bad = _dot(g, d) >= 0
+        if bad.any():  # not a descent direction: drop that restart's memory
+            s_mem[bad], y_mem[bad], rho[bad] = 0.0, 0.0, 0.0
+            d[bad] = STEP_INIT * -g[bad]
+        slope = _dot(g, d)
         d = d.view(np.complex128).reshape(x.shape)
-        step = 1.0
-        while True:
-            candidate = _normalize_rows(x + step * d)
+        converged = np.sqrt(_dot(g, g)) < cfg.grad_tol
+        x_new = np.empty_like(x)  # t and f take the accepted rows in place
+        # One line search per pass: every pending restart tries the same step.
+        pending, step = np.flatnonzero(~converged), 1.0
+        xp, dp, f0, slp = x[pending], d[pending], f[pending], slope[pending]
+        while pending.size and step >= _STEP_FLOOR:
+            candidate = _normalize_rows(xp + step * dp)
             tc = inner_table(candidate)
             fc = power_sum(tc, p)
             # Strict decrease too: at the float floor fc == f passes Armijo.
-            if fc < f and fc <= f + ARMIJO_C * step * slope:
-                break
+            ok = (fc < f0) & (fc <= f0 + ARMIJO_C * step * slp)
+            if ok.any():
+                done = pending[ok]
+                x_new[done], t[done], f[done] = candidate[ok], tc[ok], fc[ok]
+                pending, xp, dp, f0, slp = (a[~ok] for a in (pending, xp, dp, f0, slp))
             step *= 0.5
-            if step < _STEP_FLOOR:
-                candidate = None
-                break
-        if candidate is None:
-            stop = "step_floor"
-            break
-        x_old, g_old = x, rgrad
-        x, t, f = candidate, tc, fc
-        trajectory.append(f)
-    return x, f, trajectory, stop
+        moved = ~converged
+        moved[pending] = False
+        for i in np.flatnonzero(~moved):
+            stop = "grad_tol" if converged[i] else "step_floor"
+            runs[ids[i]] = (x[i], float(f[i]), trajectories[ids[i]], stop)
+        moved = slice(None) if moved.all() else moved
+        x_old, g_old, x, t, f, ids, s_mem, y_mem, rho = (
+            a[moved] for a in (x, rgrad, x_new, t, f, ids, s_mem, y_mem, rho)
+        )
+        for i, v in zip(ids.tolist(), f.tolist()):
+            trajectories[i].append(v)
+        if not len(x):
+            return runs
+    for i, j in enumerate(ids):
+        runs[j] = (x[i], float(f[i]), trajectories[j], "max_iters")
+    return runs
 
 
 def minimize_frame_potential(m: int, n: int, cfg: OptimizerConfig) -> OptimizeResult:
@@ -244,14 +260,12 @@ def minimize_frame_potential(m: int, n: int, cfg: OptimizerConfig) -> OptimizeRe
     """
     n = check_int("n", n, 1, error=InvalidConfigError)
     m = check_int("m", m, n, error=InvalidConfigError)
-    master = np.random.SeedSequence(cfg.seed)
-    best = None
-    for child in master.spawn(cfg.restarts):
-        x0 = random_unit_vectors(m, n, seed=child).vectors
-        run = _descend(x0, cfg.p, cfg)
-        if best is None or run[1] < best[1]:
-            best = run
-    x, f, trajectory, stop = best
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    size = max(1, min(_BLOCK, _BLOCK_ENTRIES // (m * m)))
+    blocks = ([random_unit_vectors(m, n, seed=c).vectors for c in children[lo:lo + size]]
+              for lo in range(0, cfg.restarts, size))
+    runs = (run for block in blocks for run in _descend(np.stack(block), cfg.p, cfg))
+    x, f, trajectory, stop = min(runs, key=lambda run: run[1])  # first of equals wins
     return OptimizeResult(
         vectors=VectorSet(vectors=x, field="complex"),
         final_potential=f,

@@ -191,15 +191,16 @@ def eval_kernel(spec: KernelSpec, x, y) -> complex:
 
 
 def inner_table(x: np.ndarray) -> np.ndarray:
-    """T[i, j] = <x_i, x_j> for the rows of an (m, n) array: conj(X) X^T."""
-    return np.conj(x) @ x.T
+    """T[..., i, j] = <x_i, x_j> for the rows of an (..., m, n) array: conj(X) X^T."""
+    return np.conj(x) @ np.swapaxes(x, -1, -2)
 
 
-def power_sum(t: np.ndarray, p: int) -> float:
-    """sum_ij |t[i, j]|^(2p) of a pairwise table, diagonal included."""
+def power_sum(t: np.ndarray, p: int):
+    """sum_ij |t[..., i, j]|^(2p), diagonal included: a float, or per table of a stack."""
     a = np.abs(t)
     a **= 2 * p  # in place: with t alive, at most two table-sized arrays exist
-    return float(np.sum(a))
+    total = np.add.reduce(a, axis=(-2, -1))
+    return float(total) if total.ndim == 0 else total
 
 
 def _gaussian_upper(gamma: float, x: np.ndarray) -> np.ndarray:

@@ -807,6 +807,40 @@ def test_inputs_read_as_utf8_in_the_c_locale(tmp_path, command, name, doc, code,
         assert needle in done.stderr
 
 
+@pytest.mark.parametrize(
+    "key, utf8, code",
+    [
+        pytest.param("csv_out", "0", 2, id="csv_out-ascii-file-names"),
+        pytest.param("json_out", "0", 2, id="json_out-ascii-file-names"),
+        pytest.param("csv_out", "1", 0, id="csv_out-utf8-file-names"),
+    ],
+)
+def test_scan_output_path_the_file_system_cannot_encode(tmp_path, key, utf8, code):
+    """Under an ASCII file-system encoding a non-ASCII output path is a config
+    error naming the key, raised before the scan runs; under UTF-8 it is written."""
+    config = {"kernels": [{"variant": "homogeneous", "p": 1}], "n": 2, "m": 3,
+              "trials": 1, "seed": 0, key: "\u00e9.out"}
+    (tmp_path / "scan.json").write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(welchkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "LANG": "C",
+           "PYTHONUTF8": utf8, "PYTHONCOERCECLOCALE": "0"}
+    done = subprocess.run(
+        [sys.executable, "-c", "from welchkit.cli import entry; entry()",
+         "rank-scan", "--config", "scan.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, encoding="utf-8", timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    written = sorted(os.listdir(os.fsencode(tmp_path)))  # bytes: any locale reads them
+    if code == 2:
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"error: {key} ")
+        assert "cannot be encoded as a file name" in done.stderr
+        assert written == [b"scan.json"]
+    else:
+        assert done.stdout.startswith("kernel=") and done.stderr == ""
+        assert written == [b"scan.json", "\u00e9.out".encode("utf-8")]
+
+
 def test_import_loads_no_unused_stdlib_modules():
     """The CLI import pulls in none of fractions, statistics, decimal or csv."""
     src = os.path.dirname(os.path.dirname(welchkit.__file__))

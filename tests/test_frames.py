@@ -1,5 +1,8 @@
 """Frame generators and the projected-gradient potential minimizer."""
 
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from welchkit.frames import (
     random_unit_vectors,
     simplex_frame,
 )
-from welchkit.kernels import VectorSet
+from welchkit.kernels import VectorSet, inner_table, power_sum
 
 
 def fd_gradient(x, p, h=1e-6):
@@ -199,7 +202,7 @@ class TestEvaluationBudget:
         original = frames.inner_table
 
         def counted(x):
-            calls[0] += 1
+            calls[0] += len(x) if x.ndim == 3 else 1  # one per restart of a stack
             return original(x)
 
         monkeypatch.setattr(frames, "inner_table", counted)
@@ -245,6 +248,135 @@ class TestEvaluationBudget:
         res, calls = self.count_calls(monkeypatch, m, n, OptimizerConfig(p=1, seed=seed))
         assert calls <= 2000
         assert abs(res.gap) < 1e-9
+
+
+# Results of the optimizer from before its restarts ran in lockstep, at p=2 and
+# grad_tol=1e-6: (m, n, seed) -> (final_potential.hex(), iterations, stop_reason).
+# Bit-level values, taken on x86_64 with numpy 2.4.6 and OpenBLAS.
+GOLDEN = {
+    (4, 2, 1): ("0x1.5555555555557p+2", 12, "grad_tol"),
+    (4, 2, 2): ("0x1.5555555555559p+2", 8, "grad_tol"),
+    (4, 2, 3): ("0x1.5555555555559p+2", 10, "grad_tol"),
+    (9, 3, 1): ("0x1.b000000000056p+3", 45, "grad_tol"),
+    (9, 3, 2): ("0x1.b000000000022p+3", 52, "grad_tol"),
+    (9, 3, 3): ("0x1.b000000000052p+3", 40, "grad_tol"),
+    (16, 4, 1): ("0x1.99999999999a0p+4", 40, "grad_tol"),
+    (16, 4, 2): ("0x1.99999999999a0p+4", 40, "grad_tol"),
+    (16, 4, 3): ("0x1.99999999999a1p+4", 44, "grad_tol"),
+}
+
+
+def reference_descend(x, p, cfg):
+    """One restart alone, its curvature pairs in a deque: the optimizer as it
+    was before restarts shared a stack, kept as the reference it must match."""
+
+    def tangent(x, grad):
+        return grad - np.sum(np.conj(x) * grad, axis=1).real[:, np.newaxis] * x
+
+    def flat(a):
+        return a.view(np.float64).ravel()
+
+    def two_loop(g, pairs):
+        q, alphas = -g, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * (s @ q))
+            q -= alphas[-1] * y
+        if not pairs:
+            return frames.STEP_INIT * q
+        q *= 1.0 / (pairs[-1][2] * (pairs[-1][1] @ pairs[-1][1]))
+        for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - rho * (y @ q)) * s
+        return q
+
+    f = power_sum(inner_table(x), p)
+    trajectory, pairs, x_old, g_old = [f], deque(maxlen=frames._MEMORY), None, None
+    for _ in range(cfg.max_iters):
+        rgrad = tangent(x, potential_gradient(VectorSet(vectors=x), p))
+        g = flat(rgrad)
+        if math.sqrt(g @ g) < cfg.grad_tol:
+            return x, f, trajectory, "grad_tol"
+        if x_old is not None:
+            s, y = flat(tangent(x, x - x_old)), g - flat(tangent(x, g_old))
+            if s @ y > 0:
+                pairs.append((s, y, 1.0 / (s @ y)))
+        d = two_loop(g, pairs)
+        if g @ d >= 0:
+            pairs.clear()
+            d = two_loop(g, pairs)
+        slope, d, step = g @ d, d.view(np.complex128).reshape(x.shape), 1.0
+        while True:
+            candidate = x + step * d
+            candidate = candidate / np.linalg.norm(candidate, axis=1, keepdims=True)
+            fc = power_sum(inner_table(candidate), p)
+            if fc < f and fc <= f + frames.ARMIJO_C * step * slope:
+                break
+            step *= 0.5
+            if step < frames._STEP_FLOOR:
+                return x, f, trajectory, "step_floor"
+        x_old, g_old, x, f = x, rgrad, candidate, fc
+        trajectory.append(f)
+    return x, f, trajectory, "max_iters"
+
+
+class TestLockstepRestarts:
+    """Restarts share one stack, but each keeps the arithmetic of a lone run."""
+
+    @pytest.mark.parametrize("m, n, seed", sorted(GOLDEN))
+    def test_golden_results(self, m, n, seed):
+        res = minimize_frame_potential(m, n, OptimizerConfig(p=2, seed=seed, grad_tol=1e-6))
+        outcome = (res.final_potential.hex(), res.iterations, res.stop_reason)
+        assert outcome == GOLDEN[m, n, seed]
+
+    @staticmethod
+    def starts(m, n, cfg):
+        children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+        return np.stack([random_unit_vectors(m, n, seed=c).vectors for c in children])
+
+    @pytest.mark.parametrize(
+        "m, n, cfg, reasons",
+        [
+            (9, 3, OptimizerConfig(p=2, seed=1, grad_tol=1e-6, max_iters=3), {"max_iters"}),
+            (3, 2, OptimizerConfig(p=1, seed=1, grad_tol=1e-300), {"step_floor"}),
+            (16, 4, OptimizerConfig(p=1, seed=3), {"grad_tol", "step_floor"}),
+            (3, 2, OptimizerConfig(p=2, seed=4, max_iters=9),
+             {"grad_tol", "step_floor", "max_iters"}),
+            # Restarts 0 and 3 meet a pair with <s, y> <= 0, which is not kept.
+            (4, 2, OptimizerConfig(p=3, seed=3, grad_tol=1e-6), {"grad_tol"}),
+        ],
+    )
+    def test_each_restart_alone_matches_the_stack(self, m, n, cfg, reasons):
+        x0 = self.starts(m, n, cfg)
+        stacked = frames._descend(x0, cfg.p, cfg)
+        assert {run[3] for run in stacked} == reasons
+        for i, (x, f, trajectory, stop) in enumerate(stacked):
+            for other in (frames._descend(x0[i:i + 1], cfg.p, cfg)[0],
+                          reference_descend(x0[i], cfg.p, cfg)):
+                assert x.tobytes() == other[0].tobytes()
+                assert (f, trajectory, stop) == tuple(other[1:])
+            assert type(f) is float and all(type(v) is float for v in trajectory)
+            assert (len(trajectory) - 1 == cfg.max_iters) == (stop == "max_iters")
+
+    @pytest.mark.parametrize("m, restarts, size", [(4, 20, 16), (64, 20, 16), (100, 20, 6),
+                                                   (300, 3, 1)])
+    def test_stack_size(self, monkeypatch, m, restarts, size):
+        """At most 16 restarts share a stack, and fewer once their inner-product
+        tables would hold more than 2**16 entries in all."""
+        sizes, descend = [], frames._descend
+        monkeypatch.setattr(frames, "_descend", lambda x, p, cfg: sizes.append(len(x))
+                            or descend(x, p, cfg))
+        minimize_frame_potential(m, 2, OptimizerConfig(p=1, restarts=restarts, max_iters=1))
+        assert max(sizes) == size and sum(sizes) == restarts
+
+    def test_best_of_several_blocks(self):
+        """More restarts than one block holds: the lowest potential wins, ties
+        going to the lowest restart index, exactly as over lone runs."""
+        cfg = OptimizerConfig(p=1, seed=5, restarts=2 * frames._BLOCK + 3)
+        res = minimize_frame_potential(4, 2, cfg)
+        x0 = self.starts(4, 2, cfg)
+        lone = [frames._descend(x0[i:i + 1], cfg.p, cfg)[0] for i in range(cfg.restarts)]
+        best = min(range(cfg.restarts), key=lambda i: (lone[i][1], i))
+        assert res.vectors.vectors.tobytes() == lone[best][0].tobytes()
+        assert res.trajectory == tuple(lone[best][2])
 
 
 class TestOptimizeResultValidation:
