@@ -34,7 +34,7 @@ from .bounds import (
     shifted_unit_report,
 )
 from .errors import InvalidConfigError, NumericalError, WelchKitError, check_object
-from .features import embedding_dim, feature_matrix
+from .features import feature_matrix
 from .frames import (
     OptimizerConfig,
     minimize_frame_potential,
@@ -90,15 +90,15 @@ def _gram_rank(vs, args):
     return gram_rank_report(gram_matrix(spec, vs))
 
 
-# Report of (vector set, parsed flags) per inequality; names resolve per call.
+# Per inequality: report of (vector set, parsed flags), and flags read besides --p.
 _CHECKS = {
-    "coherence": lambda vs, a: coherence_report(vs, a.p),
-    "power-sum": lambda vs, a: power_sum_report(vs, a.p),
-    "gram-rank": _gram_rank,
-    "generalized": lambda vs, a: generalized_report(vs, a.p),
-    "shifted": lambda vs, a: shifted_report(vs, a.p, 0.0 if a.c is None else a.c),
-    "shifted-unit": lambda vs, a: shifted_unit_report(
-        vs, a.p, 0.0 if a.c is None else a.c
+    "coherence": (lambda vs, a: coherence_report(vs, a.p), ()),
+    "power-sum": (lambda vs, a: power_sum_report(vs, a.p), ()),
+    "gram-rank": (_gram_rank, ("kernel", "gamma", "c")),
+    "generalized": (lambda vs, a: generalized_report(vs, a.p), ()),
+    "shifted": (lambda vs, a: shifted_report(vs, a.p, 0.0 if a.c is None else a.c), ("c",)),
+    "shifted-unit": (
+        lambda vs, a: shifted_unit_report(vs, a.p, 0.0 if a.c is None else a.c), ("c",)
     ),
 }
 INEQUALITY_IDS = tuple(_CHECKS)
@@ -107,16 +107,13 @@ INEQUALITY_IDS = tuple(_CHECKS)
 def cmd_check(args) -> int:
     vs = read_vector_set(args.infile)
     ineq = args.inequality
-    if ineq != "gram-rank":
-        unread = {"--kernel": args.kernel, "--gamma": args.gamma}
-        if ineq not in ("shifted", "shifted-unit"):
-            unread["--c"] = args.c
-        for flag, value in unread.items():
-            if value is not None:
-                raise InvalidConfigError(f"{flag} does not apply to {ineq}")
-        if args.p is None:
-            raise InvalidConfigError(f"--p is required for {ineq}")
-    report = _CHECKS[ineq](vs, args)
+    report_of, reads = _CHECKS[ineq]
+    for flag in ("kernel", "gamma", "c"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise InvalidConfigError(f"--{flag} does not apply to {ineq}")
+    if args.p is None and ineq != "gram-rank":
+        raise InvalidConfigError(f"--p is required for {ineq}")
+    report = report_of(vs, args)
     text = canonical_json(report.to_dict())
     if args.out is not None:
         atomic_write(args.out, text + "\n")
@@ -201,7 +198,6 @@ def cmd_embed_check(args) -> int:
     g = gram_matrix(spec, vs)
     err = float(np.max(np.abs(fm.reconstructed_gram() - g.matrix)))
     rank = g.rank()
-    dim = embedding_dim(spec, vs.n)
     # Rounding in D^H D grows with the entries, so the tolerance is relative.
     tol = 1e-10 * max(1.0, float(np.max(np.abs(g.matrix))))
     if err >= tol:
@@ -209,7 +205,7 @@ def cmd_embed_check(args) -> int:
             f"feature map does not reproduce the Gram: max_error={format_float(err)} "
             f"is not below {format_float(tol)}"
         )
-    print(f"max_error={format_float(err)} rank={rank} embedding_dim={dim}")
+    print(f"max_error={format_float(err)} rank={rank} embedding_dim={fm.feature_dim}")
     return 0
 
 
@@ -243,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--gamma", type=float, help="gaussian kernel width")
 
     opt = sub.add_parser("optimize", help="minimize frame potential")
-    opt.add_argument("--seed", type=int, default=0, help="PRNG seed")
+    opt.add_argument("--seed", type=int, default=OptimizerConfig.seed, help="PRNG seed")
     opt.add_argument("--out", help="output file path")
     opt.add_argument("--m", type=int, required=True)
     opt.add_argument("--n", type=int, required=True)
     opt.add_argument("--p", type=int, required=True)
-    opt.add_argument("--max-iters", type=int, default=5000)
-    opt.add_argument("--grad-tol", type=float, default=1e-8)
-    opt.add_argument("--restarts", type=int, default=5)
+    opt.add_argument("--max-iters", type=int, default=OptimizerConfig.max_iters)
+    opt.add_argument("--grad-tol", type=float, default=OptimizerConfig.grad_tol)
+    opt.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
 
     scan = sub.add_parser("rank-scan", help="kernel-family rank scan")
     scan.add_argument("--config", required=True, help="JSON scan configuration")

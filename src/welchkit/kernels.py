@@ -165,14 +165,19 @@ class GramMatrix:
         return numerical_rank(self.spectrum())
 
 
-def inner_product(x, y) -> complex:
-    """<x, y> = x^H y: conjugate-linear in the first argument."""
+def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as 1-D complex128 arrays of one length."""
     xv, yv = check_array("x", x, 1), check_array("y", y, 1)
     if xv.shape != yv.shape:
         raise DimensionMismatchError(
             f"vectors have lengths {xv.shape[0]} and {yv.shape[0]}"
         )
-    return complex(np.vdot(xv, yv))
+    return xv, yv
+
+
+def inner_product(x, y) -> complex:
+    """<x, y> = x^H y: conjugate-linear in the first argument."""
+    return complex(np.vdot(*_pair(x, y)))
 
 
 def eval_kernel(spec: KernelSpec, x, y) -> complex:
@@ -181,12 +186,7 @@ def eval_kernel(spec: KernelSpec, x, y) -> complex:
         return inner_product(x, y) ** spec.p
     if spec.variant == "shifted":
         return (inner_product(x, y) + spec.c) ** spec.p
-    xv, yv = check_array("x", x, 1), check_array("y", y, 1)
-    if xv.shape != yv.shape:
-        raise DimensionMismatchError(
-            f"vectors have lengths {xv.shape[0]} and {yv.shape[0]}"
-        )
-    d = xv - yv
+    d = np.subtract(*_pair(x, y))
     return complex(np.exp(-spec.gamma * np.vdot(d, d).real))
 
 

@@ -41,7 +41,7 @@ RANK_RTOL = 1e-8
 class EigenSpectrum:
     """Real eigenvalues sorted descending, plus bookkeeping.
 
-    values: 1-D float64 array, non-increasing.
+    values: non-empty 1-D float64 array, non-increasing.
     trace, frobenius_sq: Re tr(M) and ||M||_F^2 of the source matrix M,
         from its entries (not from the eigenvalues).
     clamp_applied: True when small negatives were zeroed by clamp_psd.
@@ -55,10 +55,8 @@ class EigenSpectrum:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", vals)
-        if vals.ndim != 1:
-            raise ValueError("spectrum must be a 1-D array")
-        if vals.size > 1 and np.any(np.diff(vals) > 0):
-            raise ValueError("spectrum must be sorted non-increasing")
+        if vals.ndim != 1 or not vals.size or np.any(np.diff(vals) > 0):
+            raise ValueError("spectrum must be a non-empty, non-increasing 1-D array")
 
     @property
     def source_dim(self) -> int:
@@ -111,17 +109,16 @@ def hermitian_eigenvalues(m) -> EigenSpectrum:
     return EigenSpectrum(values=values, trace=tr_re, frobenius_sq=fro_sq)
 
 
-def clamp_psd(spectrum: EigenSpectrum, rtol: float = PSD_RTOL) -> EigenSpectrum:
+def clamp_psd(spectrum: EigenSpectrum) -> EigenSpectrum:
     """Certify a spectrum as PSD, clamping round-off negatives to zero.
 
-    Negatives within rtol * sigma_max of zero are zeroed (flagged via
+    Negatives within PSD_RTOL * sigma_max of zero are zeroed (flagged via
     clamp_applied); anything below that floor raises NotPSDError.
     """
-    rtol = check_real("rtol", rtol, 0)
     vals = spectrum.values
-    sigma_max = float(vals[0]) if vals.size else 0.0
-    floor = rtol * max(sigma_max, 0.0)
-    min_val = float(vals[-1]) if vals.size else 0.0
+    sigma_max = float(vals[0])
+    floor = PSD_RTOL * max(sigma_max, 0.0)
+    min_val = float(vals[-1])
     if min_val < -floor:
         raise NotPSDError(
             f"eigenvalue {min_val!r} below PSD floor {-floor!r} "
@@ -137,6 +134,4 @@ def numerical_rank(spectrum: EigenSpectrum, rel_tol: float = RANK_RTOL) -> int:
     """Count eigenvalues with |sigma| > rel_tol * |sigma_1|; the zero matrix has rank 0."""
     rel_tol = check_real("rel_tol", rel_tol, 0)
     vals = spectrum.values
-    if vals.size == 0:
-        return 0
     return int(np.count_nonzero(np.abs(vals) > rel_tol * abs(float(vals[0]))))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -92,20 +91,17 @@ def parse_json(text: str):
 def atomic_write(path: str, text: str):
     """Write text via a same-directory temp file and an atomic rename.
 
-    The temp file is fsynced before the rename and gets mode 0o666 & ~umask,
-    the mode open() would give a new file.
+    The temp file is created exclusively with mode 0o666, which the kernel
+    reduces by the umask as for any new file, and fsynced before the rename.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
-        # The umask can only be read by setting it; restore it at once.
-        umask = os.umask(0o022)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

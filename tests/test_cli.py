@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -289,6 +290,8 @@ class TestCheck:
                          id="gram-rank-overflow"),
             pytest.param(HUGE_SET, ("embed-check", "--p", "2"), 4,
                          id="embed-check-overflow"),
+            pytest.param(UNIT_SET, ("embed-check", "--p", "1100"), 2,
+                         id="embed-check-weights-overflow"),
             pytest.param(UNIT_SET, ("check", "--inequality", "shifted", "--p", "2",
                                     "--c", "1e200"), 4, id="shifted-overflow"),
             pytest.param(HUGE_SET, ("check", "--inequality", "generalized", "--p", "2"),
@@ -839,6 +842,45 @@ def test_scan_output_path_the_file_system_cannot_encode(tmp_path, key, utf8, cod
     else:
         assert done.stdout.startswith("kernel=") and done.stderr == ""
         assert written == [b"scan.json", "\u00e9.out".encode("utf-8")]
+
+
+def code_block(path, heading, language):
+    """Lines of the first ```language block after the line heading in a
+    file next to the tests' directory."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, path),
+              encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    start = lines.index(f"```{language}", lines.index(heading))
+    return lines[start + 1:lines.index("```", start)]
+
+
+def test_readme_cli_session(tmp_path, monkeypatch, capsys):
+    """Every command of the README's CLI block exits 0, and a comment line right
+    after a command is its stdout, "..." standing for any text.  The rank scan
+    reads the config shown in FORMATS.md."""
+    monkeypatch.chdir(tmp_path)
+    config = "\n".join(code_block("FORMATS.md", "## Rank-scan config (input)", "json"))
+    (tmp_path / "scan-config.json").write_text(config)
+    block = code_block("README.md", "## CLI", "sh")
+    ran, shown = 0, []
+    for line, after in zip(block, block[1:] + [""]):
+        if not line.startswith("welch "):
+            continue
+        code, stdout, err = run(capsys, *line.split()[1:])
+        assert (code, err) == (0, ""), line
+        ran += 1
+        if after.startswith("# "):
+            pattern = ".*".join(map(re.escape, after[2:].split("...")))
+            assert re.fullmatch(pattern, stdout.rstrip("\n")), (line, stdout)
+            shown.append(after)
+    assert ran == 8
+    assert shown == [
+        "# m=3 n=2 coherence=0.50000000000000022",
+        '# {"inequality_id":"power-sum","lhs":4.5,...,"holds":true,"tight":true,...}',
+        "# final_potential=7.9999999999999982 bound=8.0 gap=-1.7763568394002505e-15 "
+        "iterations=9",
+        "# max_error=... rank=6 embedding_dim=6",
+    ]
 
 
 def test_import_loads_no_unused_stdlib_modules():

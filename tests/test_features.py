@@ -99,8 +99,16 @@ class TestMonomialBasis:
     def test_cap_enforced(self):
         assert binomial(100 + 5 - 1, 5) > BASIS_CAP == 10**6
         assert embedding_dim(KernelSpec.homogeneous(5), 100) == binomial(104, 5)
-        with pytest.raises(CombinatorialOverflowError):
+        with pytest.raises(CombinatorialOverflowError, match="n=100, p=5 has 91962520"):
             feature_matrix(KernelSpec.homogeneous(5), VectorSet(np.ones((1, 100))))
+        # The shifted map embeds n + 1 coordinates: the same basis from n = 99.
+        with pytest.raises(CombinatorialOverflowError, match="n=100, p=5 has 91962520"):
+            feature_matrix(KernelSpec.shifted(5, 1.0), VectorSet(np.ones((1, 99))))
+
+    def test_weights_overflow_a_float(self):
+        # C(1100, 550) is about 1e330, past the largest double.
+        with pytest.raises(CombinatorialOverflowError, match="multinomial weights"):
+            feature_matrix(KernelSpec.homogeneous(1100), VectorSet(np.eye(2)))
 
     def test_rejects_degenerate_arguments(self):
         with pytest.raises(ValueError):
@@ -226,6 +234,7 @@ class TestFeatureMatrix:
     def test_orthonormal_basis_identity(self):
         vs = VectorSet(vectors=np.eye(3), field="real")
         fm = feature_matrix(KernelSpec.homogeneous(1), vs)
+        assert (fm.feature_dim, fm.m) == (3, 3)
         assert np.array_equal(fm.matrix, np.eye(3))
         assert np.array_equal(fm.reconstructed_gram(), np.eye(3))
 

@@ -2,6 +2,7 @@
 
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -355,6 +356,50 @@ class TestLockstepRestarts:
                 assert (f, trajectory, stop) == tuple(other[1:])
             assert type(f) is float and all(type(v) is float for v in trajectory)
             assert (len(trajectory) - 1 == cfg.max_iters) == (stop == "max_iters")
+
+    def test_non_descent_direction_falls_back_to_steepest_descent(self, monkeypatch):
+        """With every two-loop direction turned uphill, each restart drops its
+        memory and steps along -g: in the stack exactly as alone, and downhill."""
+        two_loop, uphill = frames._two_loop, []
+
+        def ascent(g, s, y, rho):
+            d = -two_loop(g, s, y, rho)
+            uphill.append(bool((frames._dot(g, d) > 0).all()))
+            return d
+
+        monkeypatch.setattr(frames, "_two_loop", ascent)
+        cfg = OptimizerConfig(p=1, seed=0, grad_tol=1e-7, max_iters=30)
+        x0 = self.starts(4, 2, cfg)
+        stacked = frames._descend(x0, cfg.p, cfg)
+        assert {run[3] for run in stacked} == {"grad_tol", "step_floor", "max_iters"}
+        assert uphill and all(uphill)
+        for i, (x, f, trajectory, stop) in enumerate(stacked):
+            alone = frames._descend(x0[i:i + 1], cfg.p, cfg)[0]
+            assert x.tobytes() == alone[0].tobytes()
+            assert (f, trajectory, stop) == tuple(alone[1:])
+            assert all(b < a for a, b in zip(trajectory, trajectory[1:]))
+
+    def test_dropped_memory_makes_a_fresh_start(self, monkeypatch):
+        """One uphill direction, at iteration k: each restart's memory goes and it
+        steps along -g, so from x_k on it runs as a new run started at x_k."""
+        cfg, k = OptimizerConfig(p=2, seed=2, grad_tol=1e-6, max_iters=40), 6
+        x0 = self.starts(4, 2, cfg)
+        head = frames._descend(x0, cfg.p, replace(cfg, max_iters=k))
+        assert {run[3] for run in head} == {"max_iters"}
+        tail = frames._descend(np.stack([run[0] for run in head]), cfg.p,
+                               replace(cfg, max_iters=cfg.max_iters - k))
+        two_loop, calls = frames._two_loop, []
+
+        def uphill_at_k(g, s, y, rho):
+            calls.append(len(g))
+            d = two_loop(g, s, y, rho)
+            return -d if len(calls) == k + 1 else d
+
+        monkeypatch.setattr(frames, "_two_loop", uphill_at_k)
+        for (x, f, trajectory, stop), h, t in zip(frames._descend(x0, cfg.p, cfg), head, tail):
+            assert x.tobytes() == t[0].tobytes()
+            assert (f, trajectory, stop) == (t[1], h[2] + t[2][1:], t[3])
+        assert calls[k] == len(x0)
 
     @pytest.mark.parametrize("m, restarts, size", [(4, 20, 16), (64, 20, 16), (100, 20, 6),
                                                    (300, 3, 1)])

@@ -37,7 +37,7 @@ from welchkit.frames import (
     simplex_frame,
 )
 from welchkit.kernels import KernelSpec, gram_matrix
-from welchkit.linalg import clamp_psd, numerical_rank
+from welchkit.linalg import numerical_rank
 from welchkit.rank_scan import rank_scan
 from welchkit.serialize import vector_set_from_dict, vector_set_to_dict
 
@@ -252,7 +252,6 @@ LIBRARY_CALLS = {
     "vector_set_from_dict m": lambda v: vector_set_from_dict({**DOC, "m": v}),
     "vector_set_from_dict n": lambda v: vector_set_from_dict({**DOC, "n": v}),
     "numerical_rank rel_tol": lambda v: numerical_rank(SPECTRUM, v),
-    "clamp_psd rtol": lambda v: clamp_psd(SPECTRUM, v),
     "minimize_frame_potential m": lambda v: minimize_frame_potential(v, 2, SMALL_CFG),
     "minimize_frame_potential n": lambda v: minimize_frame_potential(4, v, SMALL_CFG),
     "rank_scan n": lambda v: rank_scan([KernelSpec.homogeneous(1)], v, 5, 1, 0),

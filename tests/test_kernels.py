@@ -142,6 +142,8 @@ class TestKernelSpecValidation:
             KernelSpec("homogeneous", p=2, gamma=1.0)
         with pytest.raises(ValueError):
             KernelSpec("gaussian", p=2, gamma=1.0)
+        with pytest.raises(ValueError, match="homogeneous kernel takes no shift c"):
+            KernelSpec("homogeneous", p=2, c=1.0)
 
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -279,3 +281,7 @@ class TestGramMatrix:
     def test_rejects_negative_diagonal(self):
         with pytest.raises(ValueError):
             GramMatrix(matrix=np.diag([1.0, -1.0]), kernel=KernelSpec.homogeneous(1))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="Gram matrix must be square"):
+            GramMatrix(matrix=np.ones((2, 3)), kernel=KernelSpec.homogeneous(1))

@@ -12,6 +12,7 @@ from welchkit.errors import (
 )
 from welchkit.linalg import (
     TRACE_IDENTITY_RTOL,
+    EigenSpectrum,
     clamp_psd,
     hermitian_eigenvalues,
     numerical_rank,
@@ -104,6 +105,22 @@ class TestHermitianEigenvalues:
         with pytest.raises(NoConvergenceError, match="sum of eigenvalues"):
             hermitian_eigenvalues(random_hermitian(rng, 6))
 
+    def test_frobenius_identity_gate(self, monkeypatch):
+        # Moving delta from the smallest eigenvalue to the largest keeps
+        # sum(sigma) = tr G but breaks sum(sigma^2) = ||G||_F^2.
+        true_eigvalsh, delta = np.linalg.eigvalsh, 1e-3
+
+        def shifted(a):
+            values = true_eigvalsh(a)
+            values[0] -= delta
+            values[-1] += delta
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+        rng = np.random.default_rng(3)
+        with pytest.raises(NoConvergenceError, match="sum of squares"):
+            hermitian_eigenvalues(random_hermitian(rng, 6))
+
     def test_1x1(self):
         spec = hermitian_eigenvalues(np.array([[4.0]]))
         assert spec.values.tolist() == [4.0]
@@ -153,6 +170,20 @@ class TestFrobeniusNormSq:
         h = a @ a.conj().T
         via_trace = hermitian_eigenvalues(h @ h.conj().T).trace
         assert hermitian_eigenvalues(h).frobenius_sq == pytest.approx(via_trace, rel=1e-12)
+
+
+class TestEigenSpectrum:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param(np.eye(2), id="2-D"),
+            pytest.param(np.array([1.0, 2.0]), id="increasing"),
+            pytest.param(np.array([]), id="empty"),
+        ],
+    )
+    def test_rejects_malformed_values(self, values):
+        with pytest.raises(ValueError, match="non-empty, non-increasing 1-D array"):
+            EigenSpectrum(values, trace=0.0, frobenius_sq=0.0)
 
 
 class TestNumericalRank:

@@ -32,7 +32,7 @@ from welchkit.kernels import (
     gram_matrix,
     inner_product,
 )
-from welchkit.linalg import clamp_psd, hermitian_eigenvalues, numerical_rank
+from welchkit.linalg import hermitian_eigenvalues, numerical_rank
 
 
 class TestCheckInt:
@@ -215,8 +215,6 @@ PROBES = [
                  "rel_tol", id="rank-nan-tol"),
     pytest.param(lambda: numerical_rank(SPECTRUM, -1.0), ValueError,
                  "rel_tol", id="rank-negative-tol"),
-    pytest.param(lambda: clamp_psd(SPECTRUM, float("nan")), ValueError,
-                 "rtol", id="clamp-nan-tol"),
 ]
 
 

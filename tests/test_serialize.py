@@ -100,6 +100,34 @@ class TestAtomicWrite:
             os.umask(old)
         assert stat.S_IMODE(target.stat().st_mode) == mode
 
+    def test_umask_is_applied_by_the_kernel_not_set(self, tmp_path, monkeypatch):
+        """The process umask is never changed, so no other thread can create a
+        file under a wrong one while a write runs."""
+        umask = os.umask(0o022)
+        os.umask(umask)
+
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        target = tmp_path / "out.json"
+        atomic_write(str(target), "x\n")
+        assert target.read_text() == "x\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
+
+    def test_failed_rename_leaves_the_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.json"
+        target.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write(str(target), "new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert target.read_text() == "old\n"
+
 
 class TestVectorSetFiles:
     def test_round_trip_complex_with_labels(self, tmp_path):
