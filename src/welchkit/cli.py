@@ -54,19 +54,22 @@ from .serialize import (
     write_vector_set,
 )
 
+def _shift(c):
+    """A shifted kernel's c: absent (None) means 0."""
+    return 0.0 if c is None else c
+
+
 def _kernel(entry) -> KernelSpec:
     """KernelSpec from command-line flags or from one rank-scan kernel entry.
 
-    Keys are variant, p, c and gamma; an absent key means None, except that a
-    shifted kernel's c defaults to 0.  KernelSpec validates the values.
+    Keys are variant, p, c and gamma; an absent key means None, except a
+    shifted kernel's c (_shift).  KernelSpec validates the values.
     """
     check_object(
         "kernel entry", entry, (), ("variant", "p", "c", "gamma"), InvalidConfigError
     )
     variant = entry.get("variant")
-    c = entry.get("c")
-    if variant == "shifted" and c is None:
-        c = 0.0
+    c = _shift(entry.get("c")) if variant == "shifted" else entry.get("c")
     return KernelSpec(variant, p=entry.get("p"), c=c, gamma=entry.get("gamma"))
 
 
@@ -96,10 +99,8 @@ _CHECKS = {
     "power-sum": (lambda vs, a: power_sum_report(vs, a.p), ()),
     "gram-rank": (_gram_rank, ("kernel", "gamma", "c")),
     "generalized": (lambda vs, a: generalized_report(vs, a.p), ()),
-    "shifted": (lambda vs, a: shifted_report(vs, a.p, 0.0 if a.c is None else a.c), ("c",)),
-    "shifted-unit": (
-        lambda vs, a: shifted_unit_report(vs, a.p, 0.0 if a.c is None else a.c), ("c",)
-    ),
+    "shifted": (lambda vs, a: shifted_report(vs, a.p, _shift(a.c)), ("c",)),
+    "shifted-unit": (lambda vs, a: shifted_unit_report(vs, a.p, _shift(a.c)), ("c",)),
 }
 INEQUALITY_IDS = tuple(_CHECKS)
 

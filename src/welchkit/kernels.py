@@ -7,7 +7,7 @@ kernels (homogeneous polynomial, shifted polynomial, Gaussian).
 T[i, j] = <x_i, x_j> are computed, and ``power_sum`` the one place a table
 is reduced to sum_ij |T[i, j]|^(2p); ``gram_matrix`` maps T elementwise
 (T**p, (T + c)**p), except for the Gaussian kernel, which uses direct
-differences x_i - x_j one row at a time.  The upper triangle is then mirrored
+differences x_i - x_j over blocks of rows.  The upper triangle is then mirrored
 into the lower one with a real diagonal, so the Gram is exactly Hermitian.
 
 Inner-product convention, used everywhere in this package: conjugate-linear
@@ -24,6 +24,9 @@ from .errors import DimensionMismatchError, check_array, check_int, check_real
 from .linalg import EigenSpectrum, clamp_psd, hermitian_eigenvalues, numerical_rank
 
 _FIELDS = ("real", "complex")
+
+# Cap on the entries of one stacked intermediate (gaussian differences, optimizer restarts).
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -203,24 +206,25 @@ def power_sum(t: np.ndarray, p: int):
     return float(total) if total.ndim == 0 else total
 
 
-def _gaussian_upper(gamma: float, x: np.ndarray) -> np.ndarray:
-    """exp(-gamma |x_i - x_j|^2) for j > i, ones on the diagonal, zeros below.
+def _gaussian_table(gamma: float, x: np.ndarray) -> np.ndarray:
+    """exp(-gamma |x_i - x_j|^2) for all i, j, ones on the diagonal.
 
-    Direct differences, one row at a time: expanding |x_i|^2 + |x_j|^2 -
-    2 Re T[i, j] cancels badly when the vectors are long.
+    Direct differences, broadcast over row blocks of at most _BLOCK_ENTRIES:
+    expanding |x_i|^2 + |x_j|^2 - 2 Re T[i, j] cancels badly for long vectors.
     """
-    m = x.shape[0]
-    k = np.eye(m)
-    for i in range(m - 1):
-        d = x[i + 1:] - x[i]
-        k[i, i + 1:] = np.exp(-gamma * np.sum(d.real**2 + d.imag**2, axis=1))
+    m, n = x.shape
+    rows = max(1, _BLOCK_ENTRIES // (m * n))
+    k = np.empty((m, m))
+    for i in range(0, m, rows):
+        d = x[None, :, :] - x[i:i + rows, None, :]
+        k[i:i + rows] = np.exp(-gamma * np.sum(d.real**2 + d.imag**2, axis=2))
     return k
 
 
 def gram_matrix(spec: KernelSpec, vs: VectorSet) -> GramMatrix:
     """G[i, j] = k(x_i, x_j): upper triangle evaluated, lower conjugate-mirrored."""
     if spec.variant == "gaussian":
-        table = _gaussian_upper(spec.gamma, vs.vectors)
+        table = _gaussian_table(spec.gamma, vs.vectors)
     elif spec.variant == "homogeneous":
         table = inner_table(vs.vectors) ** spec.p
     else:

@@ -187,6 +187,21 @@ class TestCheck:
         assert doc["inequality_id"] == "gram-rank"
         assert doc["holds"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(("--inequality", "shifted", "--p", "2"), id="shifted"),
+            pytest.param(("--inequality", "shifted-unit", "--p", "2"), id="shifted-unit"),
+            pytest.param(("--inequality", "gram-rank", "--kernel", "shifted", "--p", "2"),
+                         id="gram-rank-shifted"),
+        ],
+    )
+    def test_absent_shift_means_zero(self, unit_file, capsys, argv):
+        absent = run(capsys, "check", "--in", unit_file, *argv)
+        zero = run(capsys, "check", "--in", unit_file, *argv, "--c", "0")
+        assert absent == zero
+        assert absent[0] == 0
+
     @pytest.mark.parametrize("ineq", ["shifted", "shifted-unit"])
     @pytest.mark.parametrize("c", ["nan", "inf", "-1"])
     def test_bad_shift_is_argument_error(self, unit_file, capsys, ineq, c):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import apply_map, random_unitary, random_vectors
+from welchkit import kernels
 from welchkit.errors import DimensionMismatchError
 from welchkit.kernels import (
     GramMatrix,
@@ -285,3 +286,61 @@ class TestGramMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="Gram matrix must be square"):
             GramMatrix(matrix=np.ones((2, 3)), kernel=KernelSpec.homogeneous(1))
+
+
+def row_loop_upper(gamma, x):
+    """The gaussian table's upper triangle as the one-row-at-a-time loop built it."""
+    m = x.shape[0]
+    k = np.eye(m)
+    for i in range(m - 1):
+        d = x[i + 1:] - x[i]
+        k[i, i + 1:] = np.exp(-gamma * np.sum(d.real**2 + d.imag**2, axis=1))
+    return np.triu(k, 1)
+
+
+class TestGaussianTable:
+    """The broadcast table against the row loop it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("m, n", [(500, 8), (100, 3), (64, 4), (40, 3), (7, 1), (2000, 2)])
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_upper_triangle_matches_row_loop(self, m, n, field):
+        x = random_vectors(np.random.default_rng(m + n), m, n, field=field).vectors
+        table = kernels._gaussian_table(0.5, x)
+        assert np.array_equal(np.triu(table, 1), row_loop_upper(0.5, x))
+        assert np.array_equal(table.diagonal(), np.ones(m))
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, 39])
+    def test_row_blocks_that_do_not_divide_m(self, monkeypatch, rows):
+        m, n = 40, 3
+        x = random_vectors(np.random.default_rng(6), m, n).vectors
+        whole = kernels._gaussian_table(2.0, x)
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows * m * n)
+        blocked = kernels._gaussian_table(2.0, x)
+        assert np.array_equal(blocked, whole)
+        assert np.array_equal(np.triu(blocked, 1), row_loop_upper(2.0, x))
+
+    def test_block_smaller_than_one_row(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 1)
+        x = random_vectors(np.random.default_rng(8), 9, 2).vectors
+        assert np.array_equal(np.triu(kernels._gaussian_table(0.5, x), 1),
+                              row_loop_upper(0.5, x))
+
+    def test_long_vectors_close_together(self):
+        # Norms about 1e8, differences about 1e-4: |x_i|^2 + |x_j|^2 - 2 Re T[i, j]
+        # would lose every digit, the direct difference keeps them.
+        rng = np.random.default_rng(9)
+        base = 1e8 * random_vectors(rng, 1, 3, unit=True).vectors
+        x = base + 1e-4 * random_vectors(rng, 6, 3).vectors
+        gamma = 1e7
+        g = gram_matrix(KernelSpec.gaussian(gamma), VectorSet(x)).matrix
+        dist_sq = np.zeros((6, 6))
+        for i in range(6):
+            for j in range(6):
+                d = x[i] - x[j]
+                dist_sq[i, j] = np.vdot(d, d).real
+                want = np.exp(-gamma * dist_sq[i, j])
+                assert 1e-3 < want < 1.0 or i == j
+                assert abs(g[i, j] - want) <= 1e-14 * want, (i, j)
+        norms_sq = np.sum(np.abs(x) ** 2, axis=1)
+        expanded = norms_sq[:, None] + norms_sq[None, :] - 2 * (np.conj(x) @ x.T).real
+        assert np.max(np.abs(expanded - dist_sq)) > 100 * np.max(dist_sq)
