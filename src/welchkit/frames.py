@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import welch_sum_bound
 from .errors import INT64_MAX, InvalidConfigError, NumericalError, check_int, check_real
-from .kernels import _BLOCK_ENTRIES, VectorSet, inner_table, power_sum
+from .kernels import VectorSet, inner_table, power_sum
 
 # Scale of the steepest-descent direction when no curvature pair is held.
 STEP_INIT = 0.1
@@ -40,7 +40,7 @@ _STEP_FLOOR = 1e-18
 
 # Restarts run in lockstep, at most _BLOCK at a time and with at most _BLOCK_ENTRIES
 # table entries on the stack: memory grows with neither restarts nor, past a lone run, m.
-_BLOCK = 16
+_BLOCK, _BLOCK_ENTRIES = 16, 2**16
 
 
 @dataclass(frozen=True)

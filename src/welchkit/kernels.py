@@ -25,9 +25,6 @@ from .linalg import EigenSpectrum, clamp_psd, hermitian_eigenvalues, numerical_r
 
 _FIELDS = ("real", "complex")
 
-# Cap on the entries of one stacked intermediate (gaussian differences, optimizer restarts).
-_BLOCK_ENTRIES = 2**16
-
 
 @dataclass(frozen=True)
 class VectorSet:
@@ -206,14 +203,19 @@ def power_sum(t: np.ndarray, p: int):
     return float(total) if total.ndim == 0 else total
 
 
+# Gaussian differences per row block: 2^12 complex entries (64 KiB) stay in cache
+# and add nothing to the process's peak memory.
+_GAUSSIAN_BLOCK = 2**12
+
+
 def _gaussian_table(gamma: float, x: np.ndarray) -> np.ndarray:
     """exp(-gamma |x_i - x_j|^2) for all i, j, ones on the diagonal.
 
-    Direct differences, broadcast over row blocks of at most _BLOCK_ENTRIES:
+    Direct differences, broadcast over row blocks of at most _GAUSSIAN_BLOCK:
     expanding |x_i|^2 + |x_j|^2 - 2 Re T[i, j] cancels badly for long vectors.
     """
     m, n = x.shape
-    rows = max(1, _BLOCK_ENTRIES // (m * n))
+    rows = max(1, _GAUSSIAN_BLOCK // (m * n))
     k = np.empty((m, m))
     for i in range(0, m, rows):
         d = x[None, :, :] - x[i:i + rows, None, :]

@@ -3,10 +3,10 @@ rank, PSD certification.
 
 Matrices are plain ``numpy.ndarray`` objects, validated and promoted to
 complex128 by ``errors.check_array``.  The eigensolver is LAPACK ``eigvalsh``
-on the exactly Hermitian part of the input (the input itself if exactly
-Hermitian, as every Gram is).  Every returned spectrum carries the source
-matrix's Re tr(M) and ||M||_F^2, and is checked at runtime against the two
-trace identities sum(sigma_i) = Re tr(M) and sum(sigma_i^2) = ||M||_F^2.
+on the exactly Hermitian part of the input.  Every returned spectrum carries
+the source matrix's Re tr(M) and ||M||_F^2, and is checked at runtime against
+the two trace identities sum(sigma_i) = Re tr(M) and
+sum(sigma_i^2) = ||M||_F^2.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def hermitian_eigenvalues(m) -> EigenSpectrum:
     fro_sq = float(np.sum(a.real**2 + a.imag**2))
 
     try:
-        values = np.linalg.eigvalsh(a if herm_dev == 0.0 else 0.5 * (a + a.conj().T))[::-1]
+        values = np.linalg.eigvalsh(0.5 * (a + a.conj().T))[::-1]
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigvalsh failed: {exc}") from exc
 

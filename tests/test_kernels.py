@@ -314,13 +314,13 @@ class TestGaussianTable:
         m, n = 40, 3
         x = random_vectors(np.random.default_rng(6), m, n).vectors
         whole = kernels._gaussian_table(2.0, x)
-        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", rows * m * n)
+        monkeypatch.setattr(kernels, "_GAUSSIAN_BLOCK", rows * m * n)
         blocked = kernels._gaussian_table(2.0, x)
         assert np.array_equal(blocked, whole)
         assert np.array_equal(np.triu(blocked, 1), row_loop_upper(2.0, x))
 
     def test_block_smaller_than_one_row(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(kernels, "_GAUSSIAN_BLOCK", 1)
         x = random_vectors(np.random.default_rng(8), 9, 2).vectors
         assert np.array_equal(np.triu(kernels._gaussian_table(0.5, x), 1),
                               row_loop_upper(0.5, x))

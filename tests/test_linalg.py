@@ -10,7 +10,6 @@ from welchkit.errors import (
     NotPSDError,
     NotSquareError,
 )
-from welchkit.kernels import KernelSpec, VectorSet, gram_matrix
 from welchkit.linalg import (
     HERM_RTOL,
     TRACE_IDENTITY_RTOL,
@@ -20,7 +19,7 @@ from welchkit.linalg import (
     numerical_rank,
 )
 
-from helpers import diagonal_spectrum, random_vectors
+from helpers import diagonal_spectrum
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -136,47 +135,12 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError):
             hermitian_eigenvalues(m)
 
-
-def symmetrized_oracle(a):
-    """The eigenvalues of 0.5 (a + a^H), descending: the reference for hermitian_eigenvalues."""
-    return np.linalg.eigvalsh(0.5 * (a + a.conj().T))[::-1]
-
-
-# Orthogonal pairs and signed zero entries: the homogeneous p=2 Gram holds -0.0.
-SIGNED_ZERO_SET = np.array(
-    [[1, 0], [complex(-0.0, -0.0), -1], [0, 1j], [-1j, complex(-0.0, 0.0)]]
-)
-
-
-class TestSymmetrizeSkip:
-    """An exactly Hermitian input goes to eigvalsh as it is; 0.5 (a + a^H)
-    would be the same matrix, so not one bit of the spectrum changes."""
-
-    KERNELS = (KernelSpec.homogeneous(2), KernelSpec.shifted(2, 1.0), KernelSpec.gaussian(0.5))
-
-    @pytest.mark.parametrize("spec", KERNELS, ids=lambda spec: spec.variant)
-    @pytest.mark.parametrize(
-        "m, n, field, seed",
-        [(64, 4, "complex", 1), (40, 3, "complex", 2), (30, 3, "real", 3), (5, 2, "real", 4)],
-    )
-    def test_gram_spectrum_is_bit_identical(self, spec, m, n, field, seed):
-        vs = random_vectors(np.random.default_rng(seed), m, n, field=field, unit=True)
-        a = gram_matrix(spec, vs).matrix
-        assert hermitian_eigenvalues(a).values.tobytes() == symmetrized_oracle(a).tobytes()
-
-    @pytest.mark.parametrize("spec", KERNELS, ids=lambda spec: spec.variant)
-    def test_signed_zeros(self, spec):
-        a = gram_matrix(spec, VectorSet(SIGNED_ZERO_SET)).matrix
-        if spec.variant == "homogeneous":
-            assert np.any(np.signbit(a.imag) & (a.imag == 0.0))
-        assert hermitian_eigenvalues(a).values.tobytes() == symmetrized_oracle(a).tobytes()
-
-    def test_deviation_within_tolerance_is_still_symmetrized(self):
+    def test_deviation_within_tolerance_is_symmetrized(self):
         rng = np.random.default_rng(11)
         a = random_hermitian(rng, 8)
-        a[5, 2] += 0.5 * HERM_RTOL  # eigvalsh reads the lower triangle
+        a[5, 2] += 0.5 * HERM_RTOL  # eigvalsh alone would read the lower triangle
         values = hermitian_eigenvalues(a).values
-        assert values.tobytes() == symmetrized_oracle(a).tobytes()
+        assert values.tobytes() == np.linalg.eigvalsh(0.5 * (a + a.conj().T))[::-1].tobytes()
         assert values.tobytes() != np.linalg.eigvalsh(a)[::-1].tobytes()
 
 
