@@ -101,14 +101,16 @@ class BoundReport:
         return asdict(self)
 
 
-def _require_unit_norms(vs: VectorSet, tol: float):
+def _require_unit_norms(vs: VectorSet) -> np.ndarray:
+    """The norms of vs, each within UNIT_NORM_TOL of 1, else NotUnitNormError."""
     norms = vs.norms()
     devs = np.abs(norms - 1.0)
-    if np.max(devs) > tol:
+    if np.max(devs) > UNIT_NORM_TOL:
         worst = int(np.argmax(devs))
         raise NotUnitNormError(
-            f"vector {worst} has norm {norms[worst]:.12g}, outside 1 +/- {tol:g}"
+            f"vector {worst} has norm {norms[worst]:.12g}, outside 1 +/- {UNIT_NORM_TOL:g}"
         )
+    return norms
 
 
 def coherence(vs: VectorSet) -> float:
@@ -158,12 +160,11 @@ def _kernel_report(
     or m (1+c)^p in the unit form (unit norms required), recorded as rhs_unit."""
     p, c = spec.p, spec.c or 0.0
     r = embedding_dim(spec, vs.n)
-    if unit:
-        _require_unit_norms(vs, UNIT_NORM_TOL)
+    norms = _require_unit_norms(vs) if unit else None
     table = inner_table(vs.vectors)
     table += c  # in place: no second table-sized array
     lhs = power_sum(table, p)
-    norms = vs.norms()
+    norms = vs.norms() if norms is None else norms  # the table's overflow error comes first
     near_unit = unit or np.max(np.abs(norms - 1.0)) <= UNIT_METADATA_TOL
     try:  # Python float powers raise OverflowError where numpy gives inf
         rhs_unit = vs.m**2 * (1.0 + c) ** (2 * p) / r if near_unit else None
@@ -250,7 +251,7 @@ def shifted_unit_report(vs: VectorSet, p: int, c: float) -> BoundReport:
 def coherence_report(vs: VectorSet, p: int) -> BoundReport:
     """Coherence vs the 2p-th root bound; assumes unit-norm vectors."""
     p = check_int("degree p", p, 1)
-    _require_unit_norms(vs, UNIT_NORM_TOL)
+    _require_unit_norms(vs)
     lhs = coherence(vs)
     bound = welch_coherence_bound(vs.m, vs.n, p)
     return BoundReport(

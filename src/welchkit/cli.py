@@ -43,7 +43,7 @@ from .frames import (
     simplex_frame,
 )
 from .kernels import KernelSpec, gram_matrix
-from .rank_scan import DEFAULT_EPSILON, rank_scan, scan_csv, scan_summary_dict
+from .rank_scan import rank_scan, scan_csv, scan_summary_dict
 from .serialize import (
     atomic_write,
     canonical_json,
@@ -152,30 +152,25 @@ def _load_scan_config(path: str) -> dict:
         ("epsilon", "csv_out", "json_out"),
         InvalidConfigError,
     )
-    for key in ("csv_out", "json_out"):
+    for key in ("csv_out", "json_out"):  # before the scan runs, not when it is written
         if doc.get(key) is not None and not isinstance(doc[key], str):
             raise InvalidConfigError(f"{key} must be a path string")
-        try:  # before the scan runs, not when its output is written
+        if doc.get(key) == "":
+            raise InvalidConfigError(f"{key} must be a non-empty path string")
+        try:
             os.fsencode(doc.get(key) or "")
         except UnicodeEncodeError:
             raise InvalidConfigError(f"{key} {doc[key]!r} cannot be encoded as a file name")
+    if not isinstance(doc["kernels"], list):
+        raise InvalidConfigError("'kernels' must be a list")
     return doc
 
 
 def cmd_rank_scan(args) -> int:
     doc = _load_scan_config(args.config)
-    kernels_raw = doc["kernels"]
-    if not isinstance(kernels_raw, list):
-        raise InvalidConfigError("'kernels' must be a list")
-    family = [_kernel(entry) for entry in kernels_raw]
-    result = rank_scan(
-        family,
-        n=doc["n"],
-        m=doc["m"],
-        trials=doc["trials"],
-        seed=doc["seed"],
-        epsilon=doc.get("epsilon", DEFAULT_EPSILON),
-    )
+    # epsilon only when given: rank_scan's signature states its default.
+    params = {k: doc[k] for k in ("n", "m", "trials", "seed", "epsilon") if k in doc}
+    result = rank_scan([_kernel(entry) for entry in doc["kernels"]], **params)
     if doc.get("csv_out") is not None:
         atomic_write(doc["csv_out"], scan_csv(result))
     if doc.get("json_out") is not None:
@@ -269,18 +264,12 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             # By name per call: the cached parser must not pin a cmd_* object.
             return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except WelchKitError as exc:
+    except (WelchKitError, ValueError, MemoryError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except (ValueError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        # First match wins; ValueError before OSError: io.UnsupportedOperation is both.
+        return (exc.exit_code if isinstance(exc, WelchKitError)
+                else 2 if isinstance(exc, (ValueError, MemoryError))
+                else 3 if isinstance(exc, OSError) else 4)
 
 
 def entry():

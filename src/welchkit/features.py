@@ -62,20 +62,6 @@ def multinomial(p: int, exponents) -> int:
     return coeff
 
 
-def _monomial_factors(n: int, p: int, size: int) -> list[tuple[int, ...]]:
-    """Degree-p monomials over n variables, each as its p factor indices.
-
-    Indices are non-decreasing and the monomials come in lexicographic order
-    of those indices: x_1^p first, x_n^p last.  A size (their number,
-    C(n+p-1, p)) past BASIS_CAP raises instead of allocating.
-    """
-    if size > BASIS_CAP:
-        raise CombinatorialOverflowError(
-            f"monomial basis for n={n}, p={p} has {size} elements, cap is {BASIS_CAP}"
-        )
-    return list(itertools.combinations_with_replacement(range(n), p))
-
-
 def embedding_dim(spec: KernelSpec, n: int) -> int:
     """Exact feature-space dimension for a polynomial kernel on C^n."""
     if spec.variant == "homogeneous":
@@ -87,13 +73,14 @@ def embedding_dim(spec: KernelSpec, n: int) -> int:
     )
 
 
-def _embed_rows(rows: np.ndarray, p: int, size: int) -> np.ndarray:
+def _embed_rows(rows: np.ndarray, p: int) -> np.ndarray:
     """phi of every row of an (m, n) array, as an (m, C(n+p-1, p)) array.
 
-    Gathers each monomial's p factors for all rows at once: m * dim * p
-    entries of memory.
+    Monomials are non-decreasing tuples of p factor indices in lexicographic
+    order (x_1^p first, x_n^p last), each gathered for all rows at once:
+    m * dim * p entries of memory.
     """
-    factors = _monomial_factors(rows.shape[1], p, size)
+    factors = list(itertools.combinations_with_replacement(range(rows.shape[1]), p))
     try:
         w = np.array([math.sqrt(multinomial(p, Counter(f).values())) for f in factors])
     except OverflowError as exc:
@@ -142,10 +129,12 @@ class FeatureMatrix:
 def feature_matrix(spec: KernelSpec, vs: VectorSet) -> FeatureMatrix:
     """Embed every vector of the set as a column; polynomial kernels only."""
     size = embedding_dim(spec, vs.n)
+    rows = vs.vectors
     if spec.variant == "shifted":
-        rows = np.concatenate(
-            [vs.vectors, np.full((vs.m, 1), math.sqrt(spec.c))], axis=1
+        rows = np.concatenate([rows, np.full((vs.m, 1), math.sqrt(spec.c))], axis=1)
+    if size > BASIS_CAP:  # before allocating the basis
+        raise CombinatorialOverflowError(
+            f"monomial basis for n={rows.shape[1]}, p={spec.p} has {size} elements, "
+            f"cap is {BASIS_CAP}"
         )
-    else:
-        rows = vs.vectors
-    return FeatureMatrix(matrix=_embed_rows(rows, spec.p, size).T, kernel=spec)
+    return FeatureMatrix(matrix=_embed_rows(rows, spec.p).T, kernel=spec)

@@ -83,7 +83,8 @@ def hermitian_eigenvalues(m) -> EigenSpectrum:
         raise NotSquareError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
 
     scale = max(1.0, float(np.max(np.abs(a))))
-    herm_dev = float(np.max(np.abs(a - a.conj().T)))
+    ah = a.conj().T  # one copy for the deviation and the symmetrize
+    herm_dev = float(np.max(np.abs(a - ah)))
     if herm_dev > HERM_RTOL * scale:
         raise NotHermitianError(
             f"Hermitian deviation {herm_dev:.3e} exceeds tolerance "
@@ -94,7 +95,7 @@ def hermitian_eigenvalues(m) -> EigenSpectrum:
     fro_sq = float(np.sum(a.real**2 + a.imag**2))
 
     try:
-        values = np.linalg.eigvalsh(0.5 * (a + a.conj().T))[::-1]
+        values = np.linalg.eigvalsh(0.5 * (a + ah))[::-1]
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"LAPACK eigvalsh failed: {exc}") from exc
 

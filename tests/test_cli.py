@@ -1,5 +1,6 @@
 """End-to-end tests for the `welch` command line."""
 
+import io
 import json
 import os
 import re
@@ -13,7 +14,8 @@ import welchkit
 from welchkit import cli, errors
 from welchkit.cli import main
 from welchkit.features import FeatureMatrix
-from welchkit.serialize import parse_json, read_vector_set
+from welchkit.rank_scan import DEFAULT_EPSILON
+from welchkit.serialize import format_float, parse_json, read_vector_set
 
 DEEP_JSON = "[" * 10**5 + "]" * 10**5
 
@@ -557,6 +559,43 @@ class TestRankScan:
         code, _, _ = run(capsys, "rank-scan", "--config", "/nonexistent.json")
         assert code == 3
 
+    @pytest.mark.parametrize("key", ["csv_out", "json_out"])
+    def test_empty_output_path_rejected_before_the_scan(
+        self, tmp_path, monkeypatch, capsys, key
+    ):
+        """An empty path would resolve to the parent of the working directory."""
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        path, _ = self.write_config(work, **{key: ""})
+        before = sorted(os.listdir(tmp_path)), sorted(os.listdir(tmp_path.parent))
+        code, out, err = run(capsys, "rank-scan", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {key} must be a non-empty path string\n"
+        assert (sorted(os.listdir(tmp_path)), sorted(os.listdir(tmp_path.parent))) == before
+        assert sorted(os.listdir(work)) == ["config.json"]
+
+    def test_first_config_fault_reported(self, tmp_path, capsys):
+        """The output paths are checked before the kernel list."""
+        path, _ = self.write_config(tmp_path, kernels=3, csv_out=5)
+        code, out, err = run(capsys, "rank-scan", "--config", str(path))
+        assert (code, out, err) == (2, "", "error: csv_out must be a path string\n")
+        path, _ = self.write_config(tmp_path, kernels=3)
+        code, out, err = run(capsys, "rank-scan", "--config", str(path))
+        assert (code, out, err) == (2, "", "error: 'kernels' must be a list\n")
+
+    def test_absent_epsilon_is_the_library_default(self, tmp_path, capsys):
+        path, config = self.write_config(tmp_path)
+        assert "epsilon" not in config
+        code, _, _ = run(capsys, "rank-scan", "--config", str(path))
+        assert code == 0
+        rows = (tmp_path / "scan.csv").read_text().splitlines()
+        column = rows[0].split(",").index("epsilon")
+        assert {row.split(",")[column] for row in rows[1:]} == {format_float(DEFAULT_EPSILON)}
+        summary = (tmp_path / "scan.json").read_text()
+        assert f'"epsilon":{format_float(DEFAULT_EPSILON)},' in summary
+
     def test_oversized_m_rejected(self, tmp_path, capsys):
         path, _ = self.write_config(tmp_path, m=2)
         code, _, _ = run(capsys, "rank-scan", "--config", str(path))
@@ -739,6 +778,34 @@ def test_every_error_class_exits_with_its_code(monkeypatch, capsys):
         got, _, err = run(capsys, "gen", "simplex", "--n", "2", "--out", os.devnull)
         assert got == code, cls.__name__
         assert err == "error: injected\n"
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        pytest.param(ValueError("injected"), 2, id="ValueError"),
+        pytest.param(UnicodeEncodeError("ascii", "", 0, 1, "injected"), 2,
+                     id="UnicodeEncodeError"),
+        pytest.param(MemoryError("injected"), 2, id="MemoryError"),
+        # Both a ValueError and an OSError: the ValueError rule wins.
+        pytest.param(io.UnsupportedOperation("injected"), 2, id="UnsupportedOperation"),
+        pytest.param(OSError("injected"), 3, id="OSError"),
+        pytest.param(FileNotFoundError("injected"), 3, id="FileNotFoundError"),
+        pytest.param(IsADirectoryError("injected"), 3, id="IsADirectoryError"),
+        pytest.param(ArithmeticError("injected"), 4, id="ArithmeticError"),
+        pytest.param(FloatingPointError("injected"), 4, id="FloatingPointError"),
+        pytest.param(OverflowError("injected"), 4, id="OverflowError"),
+        pytest.param(ZeroDivisionError("injected"), 4, id="ZeroDivisionError"),
+    ],
+)
+def test_every_builtin_error_kind_exits_with_its_code(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_gen", fail)
+    got, out, err = run(capsys, "gen", "simplex", "--n", "2", "--out", os.devnull)
+    assert (got, out) == (code, "")
+    assert err == f"error: {exc}\n" and err.endswith("injected\n")
 
 
 class TestParserReuse:
