@@ -128,15 +128,15 @@ def welch_coherence_bound(m: int, n: int, p: int) -> CoherenceBound:
     """
     m = check_int("m", m, 1)
     n = check_int("n", n, 1)
-    p = check_int("degree p", p, 1)
+    spec = KernelSpec.homogeneous(p)
     if m < 2:
         raise TooFewVectorsError("coherence bound needs m >= 2")
-    denom = embedding_dim(KernelSpec.homogeneous(p), n)
+    denom = embedding_dim(spec, n)
     if m - denom <= 0:
         return CoherenceBound(0.0, True)
     # int / int true division is correctly rounded.
     radicand = (m - denom) / (denom * (m - 1))
-    return CoherenceBound(radicand ** (1 / (2 * p)), False)
+    return CoherenceBound(radicand ** (1 / (2 * spec.p)), False)
 
 
 def sum_power_lhs(vs: VectorSet, p: int) -> float:
@@ -225,7 +225,7 @@ def generalized_report(vs: VectorSet, p: int) -> BoundReport:
         raise AllZeroVectorsError("ratio undefined: every vector is zero")
     scaled = VectorSet(vs.vectors / scale)
     tr = float(np.sum(scaled.norms() ** (2 * spec.p)))
-    lhs = sum_power_lhs(scaled, spec.p) / tr**2
+    lhs = power_sum(inner_table(scaled.vectors), spec.p) / tr**2
     rhs = 1.0 / embedding_dim(spec, vs.n)
     return BoundReport("generalized", lhs, rhs, m=vs.m, n=vs.n, p=spec.p)
 
@@ -250,16 +250,9 @@ def shifted_unit_report(vs: VectorSet, p: int, c: float) -> BoundReport:
 
 def coherence_report(vs: VectorSet, p: int) -> BoundReport:
     """Coherence vs the 2p-th root bound; assumes unit-norm vectors."""
-    p = check_int("degree p", p, 1)
+    bound = welch_coherence_bound(vs.m, vs.n, p)  # a bad p is reported before bad norms
     _require_unit_norms(vs)
-    lhs = coherence(vs)
-    bound = welch_coherence_bound(vs.m, vs.n, p)
     return BoundReport(
-        "coherence",
-        lhs,
-        bound.value,
-        m=vs.m,
-        n=vs.n,
-        p=p,
+        "coherence", coherence(vs), bound.value, m=vs.m, n=vs.n, p=int(p),
         vacuous=bound.vacuous,
     )

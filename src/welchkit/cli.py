@@ -59,18 +59,21 @@ def _shift(c):
     return 0.0 if c is None else c
 
 
-def _kernel(entry) -> KernelSpec:
-    """KernelSpec from command-line flags or from one rank-scan kernel entry.
+def _kernel(variant, p=None, c=None, gamma=None) -> KernelSpec:
+    """KernelSpec of the given parameters, None where absent (_shift for a shifted c)."""
+    c = _shift(c) if variant == "shifted" else c
+    return KernelSpec(variant, p=p, c=c, gamma=gamma)
 
-    Keys are variant, p, c and gamma; an absent key means None, except a
-    shifted kernel's c (_shift).  KernelSpec validates the values.
-    """
+
+def _scan_kernel(entry) -> KernelSpec:
+    """KernelSpec from one rank-scan kernel entry: only the keys given, none null."""
     check_object(
         "kernel entry", entry, (), ("variant", "p", "c", "gamma"), InvalidConfigError
     )
-    variant = entry.get("variant")
-    c = _shift(entry.get("c")) if variant == "shifted" else entry.get("c")
-    return KernelSpec(variant, p=entry.get("p"), c=c, gamma=entry.get("gamma"))
+    for key, value in entry.items():
+        if value is None:
+            raise InvalidConfigError(f"kernel entry {key!r} must not be null; omit it")
+    return _kernel(**{"variant": None, **entry})
 
 
 def cmd_gen(args) -> int:
@@ -89,8 +92,7 @@ def cmd_gen(args) -> int:
 
 def _gram_rank(vs, args):
     variant = "homogeneous" if args.kernel is None else args.kernel
-    spec = _kernel({"variant": variant, "p": args.p, "c": args.c, "gamma": args.gamma})
-    return gram_rank_report(gram_matrix(spec, vs))
+    return gram_rank_report(gram_matrix(_kernel(variant, args.p, args.c, args.gamma), vs))
 
 
 # Per inequality: report of (vector set, parsed flags), and flags read besides --p.
@@ -158,7 +160,8 @@ def _load_scan_config(path: str) -> dict:
         if doc.get(key) == "":
             raise InvalidConfigError(f"{key} must be a non-empty path string")
         try:
-            os.fsencode(doc.get(key) or "")
+            if b"\0" in os.fsencode(doc.get(key) or ""):
+                raise InvalidConfigError(f"{key} {doc[key]!r} holds a NUL character")
         except UnicodeEncodeError:
             raise InvalidConfigError(f"{key} {doc[key]!r} cannot be encoded as a file name")
     if not isinstance(doc["kernels"], list):
@@ -170,7 +173,7 @@ def cmd_rank_scan(args) -> int:
     doc = _load_scan_config(args.config)
     # epsilon only when given: rank_scan's signature states its default.
     params = {k: doc[k] for k in ("n", "m", "trials", "seed", "epsilon") if k in doc}
-    result = rank_scan([_kernel(entry) for entry in doc["kernels"]], **params)
+    result = rank_scan([_scan_kernel(entry) for entry in doc["kernels"]], **params)
     if doc.get("csv_out") is not None:
         atomic_write(doc["csv_out"], scan_csv(result))
     if doc.get("json_out") is not None:
@@ -189,7 +192,7 @@ def cmd_rank_scan(args) -> int:
 def cmd_embed_check(args) -> int:
     vs = read_vector_set(args.infile)
     variant = "homogeneous" if args.c is None else "shifted"
-    spec = _kernel({"variant": variant, "p": args.p, "c": args.c})
+    spec = _kernel(variant, args.p, args.c)
     fm = feature_matrix(spec, vs)
     g = gram_matrix(spec, vs)
     err = float(np.max(np.abs(fm.reconstructed_gram() - g.matrix)))

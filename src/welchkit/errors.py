@@ -15,8 +15,8 @@ import numbers
 
 import numpy as np
 
-# Counts, dimensions and degrees fit a signed 64-bit integer.
-INT64_MAX = 2**63 - 1
+# Counts, dimensions and degrees fit a signed 64-bit integer, seeds an unsigned one.
+INT64_MAX, SEED_MAX = 2**63 - 1, 2**64 - 1
 
 
 class WelchKitError(Exception):

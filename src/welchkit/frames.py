@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import welch_sum_bound
-from .errors import INT64_MAX, InvalidConfigError, NumericalError, check_int, check_real
+from .errors import (
+    INT64_MAX, SEED_MAX, InvalidConfigError, NumericalError, check_int, check_real
+)
 from .kernels import VectorSet, inner_table, power_sum
 
 # Scale of the steepest-descent direction when no curvature pair is held.
@@ -56,7 +58,7 @@ class OptimizerConfig:
     def __post_init__(self):
         for name, lo, hi in (
             ("p", 1, INT64_MAX), ("max_iters", 1, INT64_MAX),
-            ("restarts", 1, INT64_MAX), ("seed", 0, 2**64 - 1),
+            ("restarts", 1, INT64_MAX), ("seed", 0, SEED_MAX),
         ):
             value = check_int(name, getattr(self, name), lo, hi, InvalidConfigError)
             object.__setattr__(self, name, value)
@@ -104,6 +106,8 @@ def random_unit_vectors(
     complex field) so a seed pins down the set bit-for-bit.
     """
     m, n = check_int("m", m, 1), check_int("n", n, 1)
+    if not isinstance(seed, np.random.SeedSequence):  # spawned children pass as they are
+        seed = check_int("seed", seed, 0, SEED_MAX)
     rng = np.random.Generator(np.random.Philox(seed))
     re = rng.standard_normal((m, n))
     if field == "complex":

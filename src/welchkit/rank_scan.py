@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidScanError, check_int, check_real
+from .errors import SEED_MAX, InvalidScanError, check_int, check_real
 from .features import embedding_dim
 from .frames import random_unit_vectors
 from .kernels import KernelSpec, gram_matrix
@@ -86,7 +86,7 @@ def rank_scan(
     n = check_int("n", n, 1, error=InvalidScanError)
     m = check_int("m", m, 1, error=InvalidScanError)
     trials = check_int("trials", trials, 1, error=InvalidScanError)
-    seed = check_int("seed", seed, 0, 2**64 - 1, InvalidScanError)
+    seed = check_int("seed", seed, 0, SEED_MAX, InvalidScanError)
     # Below ~1e3 machine epsilons, eigenvalue ratios are eigensolver rounding noise.
     epsilon = check_real(
         "epsilon", epsilon, 1e3 * sys.float_info.epsilon, error=InvalidScanError
@@ -112,14 +112,16 @@ def rank_scan(
     )
 
 
-def _kernel_columns(spec: KernelSpec):
-    return (
-        spec.describe(),
-        spec.variant,
-        "" if spec.p is None else str(spec.p),
-        "" if spec.c is None else format_float(spec.c),
-        "" if spec.gamma is None else format_float(spec.gamma),
-    )
+def _kernel_fields(spec: KernelSpec) -> tuple:
+    """A kernel's fields in CSV_HEADER order: kernel, variant, p, c, gamma."""
+    return spec.describe(), spec.variant, spec.p, spec.c, spec.gamma
+
+
+def _cell(value) -> str:
+    """CSV text of a field: empty for None, format_float for a float, str otherwise."""
+    if value is None:
+        return ""
+    return format_float(value) if isinstance(value, float) else str(value)
 
 
 def scan_csv(result: ScanResult) -> str:
@@ -127,33 +129,25 @@ def scan_csv(result: ScanResult) -> str:
 
     No field can hold a comma, a quote or a newline, so none is quoted.
     """
-    epsilon = format_float(result.epsilon)
     lines = [",".join(CSV_HEADER)]
     for trial in range(result.trials):
         for s in result.summaries:
-            dim = "" if s.theoretical_dim is None else str(s.theoretical_dim)
-            lines.append(",".join(
-                _kernel_columns(s.kernel) + (str(trial), epsilon, str(s.ranks[trial]), dim)
-            ))
+            row = (trial, result.epsilon, s.ranks[trial], s.theoretical_dim)
+            lines.append(",".join(map(_cell, _kernel_fields(s.kernel) + row)))
     return "\n".join(lines) + "\n"
 
 
 def scan_summary_dict(result: ScanResult) -> dict:
     """JSON-ready summary: scan parameters plus one entry per kernel."""
-    kernels = []
-    for s in result.summaries:
-        kernels.append(
-            {
-                "kernel": s.kernel.describe(),
-                "variant": s.kernel.variant,
-                "p": s.kernel.p,
-                "c": s.kernel.c,
-                "gamma": s.kernel.gamma,
-                "median_rank": s.median_rank,
-                "theoretical_dim": s.theoretical_dim,
-                "saturated": s.saturated,
-            }
+    kernels = [
+        dict(
+            zip(CSV_HEADER, _kernel_fields(s.kernel)),
+            median_rank=s.median_rank,
+            theoretical_dim=s.theoretical_dim,
+            saturated=s.saturated,
         )
+        for s in result.summaries
+    ]
     return {
         "n": result.n,
         "m": result.m,

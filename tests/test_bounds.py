@@ -80,7 +80,7 @@ class TestWelchCoherenceBound:
             welch_coherence_bound(1, 2, 1)
 
     def test_rejects_zero_degree(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="kernel degree p"):
             welch_coherence_bound(3, 2, 0)
 
 
@@ -387,6 +387,17 @@ class TestCoherenceReport:
             coherence_report(
                 VectorSet(vectors=2 * np.eye(3), field="real"), 1
             )
+
+    def test_bad_degree_reported_before_bad_norms(self):
+        with pytest.raises(ValueError, match="kernel degree p"):
+            coherence_report(VectorSet(vectors=2 * np.eye(3), field="real"), 0)
+
+    def test_single_vector_fails_in_the_bound(self):
+        with pytest.raises(TooFewVectorsError, match="coherence bound needs m >= 2"):
+            coherence_report(orthonormal(1), 1)
+
+    def test_numpy_degree_stored_as_int(self):
+        assert type(coherence_report(plane_simplex(), np.int64(1)).p) is int
 
 
 OMEGA = np.exp(2j * np.pi / 3)

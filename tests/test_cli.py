@@ -1,11 +1,13 @@
 """End-to-end tests for the `welch` command line."""
 
+import hashlib
 import io
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +145,28 @@ class TestGen:
         assert code == 2
         assert out == ""
         assert "--out" in err and "allocate" not in err
+
+    @pytest.mark.parametrize("seed, digest", [
+        ("0", "2ad450a5a664d967bf1488edf4f2b050a584924ca8b9e2fe7cdbe4fbadfbd64f"),
+        ("1", "0d597132c5a5612a7de279eab4d38f5f2304d36dea72981c21cff4d103181de2"),
+        (str(2**64 - 1),
+         "bf3b28049b44f75321fd228a05e30dbd4de39021422d18f042e2e17a571ad7ea"),
+    ])
+    def test_seed_pins_the_bytes(self, tmp_path, capsys, seed, digest):
+        out = tmp_path / "set.json"
+        code, _, _ = run(capsys, "gen", "random", "--m", "3", "--n", "2", "--seed", seed,
+                         "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_rejected(self, tmp_path, capsys, seed):
+        out = tmp_path / "set.json"
+        code, stdout, err = run(capsys, "gen", "random", "--m", "3", "--n", "2",
+                                "--seed", seed, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: seed must be an integer in [0, 18446744073709551615]")
+        assert not out.exists()
 
     def test_random_needs_m_and_n(self, capsys):
         code, _, _ = run(capsys, "gen", "random", "--n", "2", "--out", "/dev/null")
@@ -554,6 +578,47 @@ class TestRankScan:
             assert out == ""
         if needle is not None:
             assert needle in err
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"variant": "shifted", "p": 2, "c": None}, "c"),
+        ({"variant": "gaussian", "gamma": 0.5, "p": None}, "p"),
+        ({"variant": "homogeneous", "p": 2, "c": None}, "c"),
+        ({"variant": "homogeneous", "p": 2, "gamma": None}, "gamma"),
+        ({"variant": None, "p": 2}, "variant"),
+    ])
+    def test_null_kernel_parameter_rejected(self, tmp_path, capsys, entry, key):
+        """null is not "absent": FORMATS.md forbids it in a kernel entry."""
+        path, _ = self.write_config(tmp_path, kernels=[entry])
+        code, out, err = run(capsys, "rank-scan", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: kernel entry {key!r} must not be null; omit it\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+    def test_missing_variant_is_an_unknown_variant(self, tmp_path, capsys):
+        path, _ = self.write_config(tmp_path, kernels=[{"p": 2}])
+        code, out, err = run(capsys, "rank-scan", "--config", str(path))
+        assert (code, out, err) == (2, "", "error: unknown kernel variant None\n")
+
+    def test_shifted_without_c_writes_c_zero(self, tmp_path, capsys):
+        path, _ = self.write_config(tmp_path, kernels=[{"variant": "shifted", "p": 2}])
+        code, stdout, _ = run(capsys, "rank-scan", "--config", str(path))
+        assert code == 0
+        assert stdout.startswith("kernel=shifted p=2 c=0 ")
+        rows = (tmp_path / "scan.csv").read_text().splitlines()
+        assert {tuple(row.split(",")[:5]) for row in rows[1:]} == {
+            ("shifted p=2 c=0", "shifted", "2", "0.0", "")
+        }
+        summary = (tmp_path / "scan.json").read_text()
+        assert ('"kernel":"shifted p=2 c=0","variant":"shifted","p":2,"c":0.0,"gamma":null,'
+                in summary)
+
+    @pytest.mark.parametrize("key", ["csv_out", "json_out"])
+    def test_nul_in_output_path_rejected_before_the_scan(self, tmp_path, capsys, key):
+        path, _ = self.write_config(tmp_path, **{key: str(tmp_path / "a\0b")})
+        code, out, err = run(capsys, "rank-scan", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {key} ") and "NUL" in err and "a\\x00b" in err
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
     def test_missing_config_file_is_io_error(self, capsys):
         code, _, _ = run(capsys, "rank-scan", "--config", "/nonexistent.json")
@@ -978,3 +1043,13 @@ def test_import_loads_no_unused_stdlib_modules():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_version_stated_once():
+    """pyproject.toml takes its version from welchkit.__version__."""
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools flags [tool.setuptools] as beta
+        project = pyprojecttoml.read_configuration(path)["project"]
+    assert project["version"] == welchkit.__version__

@@ -246,6 +246,7 @@ LIBRARY_CALLS = {
     "coherence_report p": lambda v: coherence_report(VS, v),
     "random_unit_vectors m": lambda v: random_unit_vectors(v, 2),
     "random_unit_vectors n": lambda v: random_unit_vectors(3, v),
+    "random_unit_vectors seed": lambda v: random_unit_vectors(3, 2, seed=v),
     "orthonormal_frame n": lambda v: orthonormal_frame(v),
     "simplex_frame n": lambda v: simplex_frame(v),
     "potential_gradient p": lambda v: potential_gradient(VS, v),

@@ -157,3 +157,34 @@ class TestScanSerialization:
         assert [k["variant"] for k in doc["kernels"]] == ["shifted", "gaussian"]
         assert doc["kernels"][0]["theoretical_dim"] == 3
         assert doc["kernels"][1]["saturated"] is None
+
+    def test_csv_and_json_agree_on_kernel_columns(self):
+        kernels = [
+            KernelSpec.homogeneous(2),
+            KernelSpec.shifted(2, 1),  # c given as an int
+            KernelSpec.gaussian(0.5),
+        ]
+        result = rank_scan(kernels, n=2, m=8, trials=2, seed=7)
+        rows = [line.split(",") for line in scan_csv(result).strip().split("\n")[1:]]
+        entries = scan_summary_dict(result)["kernels"]
+        assert len(rows) == 2 * len(kernels)
+
+        def cell(value, fmt):
+            return "" if value is None else fmt(value)
+
+        for i, row in enumerate(rows):
+            spec, entry = kernels[i % len(kernels)], entries[i % len(kernels)]
+            assert row[:5] == [
+                spec.describe(),
+                spec.variant,
+                cell(spec.p, str),
+                cell(spec.c, format_float),
+                cell(spec.gamma, format_float),
+            ]
+            assert [entry[k] for k in CSV_HEADER[:5]] == [
+                spec.describe(), spec.variant, spec.p, spec.c, spec.gamma
+            ]
+        assert rows[1][:5] == ["shifted p=2 c=1", "shifted", "2", "1.0", ""]
+        assert type(entries[1]["c"]) is float and entries[1]["c"] == 1.0
+        assert rows[2][:5] == ["gaussian gamma=0.5", "gaussian", "", "", "0.5"]
+        assert entries[0]["c"] is None and entries[2]["p"] is None

@@ -193,6 +193,10 @@ PROBES = [
                  r"\bm must be an integer", id="minimize-float-m"),
     pytest.param(lambda: random_unit_vectors(3.0, 2), ValueError,
                  r"\bm must be an integer", id="random-float-m"),
+    pytest.param(lambda: random_unit_vectors(3, 2, seed=None), ValueError,
+                 r"\bseed must be an integer", id="random-none-seed"),
+    pytest.param(lambda: random_unit_vectors(3, 2, seed=1.5), ValueError,
+                 r"\bseed must be an integer", id="random-float-seed"),
     pytest.param(lambda: simplex_frame(2.0), ValueError,
                  r"\bn must be an integer", id="simplex-float-n"),
     pytest.param(lambda: orthonormal_frame(2.0), ValueError,
