@@ -17,7 +17,6 @@ from .bounds import (
     power_sum_report,
     shifted_report,
     shifted_unit_report,
-    sum_power_lhs,
     welch_coherence_bound,
     welch_sum_bound,
 )
@@ -40,8 +39,6 @@ from .errors import (
 from .features import (
     FeatureMatrix,
     binomial,
-    embed_homogeneous,
-    embed_shifted,
     embedding_dim,
     feature_matrix,
     multinomial,
@@ -51,7 +48,6 @@ from .frames import (
     OptimizerConfig,
     minimize_frame_potential,
     orthonormal_frame,
-    potential_gradient,
     random_unit_vectors,
     simplex_frame,
 )
@@ -118,8 +114,6 @@ __all__ = [
     "clamp_psd",
     "coherence",
     "coherence_report",
-    "embed_homogeneous",
-    "embed_shifted",
     "embedding_dim",
     "eval_kernel",
     "feature_matrix",
@@ -134,7 +128,6 @@ __all__ = [
     "multinomial",
     "numerical_rank",
     "orthonormal_frame",
-    "potential_gradient",
     "power_sum",
     "power_sum_report",
     "random_unit_vectors",
@@ -145,7 +138,6 @@ __all__ = [
     "shifted_report",
     "shifted_unit_report",
     "simplex_frame",
-    "sum_power_lhs",
     "welch_coherence_bound",
     "welch_sum_bound",
     "write_vector_set",

@@ -139,12 +139,6 @@ def welch_coherence_bound(m: int, n: int, p: int) -> CoherenceBound:
     return CoherenceBound(radicand ** (1 / (2 * spec.p)), False)
 
 
-def sum_power_lhs(vs: VectorSet, p: int) -> float:
-    """Full double sum of |<x_i, x_j>|^(2p), diagonal included."""
-    p = check_int("degree p", p, 1)
-    return power_sum(inner_table(vs.vectors), p)
-
-
 def welch_sum_bound(m: int, n: int, p: int) -> float:
     """m^2 / C(n+p-1, p), correctly rounded (int / int true division)."""
     m = check_int("m", m, 1)

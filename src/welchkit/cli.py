@@ -76,6 +76,19 @@ def _scan_kernel(entry) -> KernelSpec:
     return _kernel(**{"variant": None, **entry})
 
 
+def _check_out_path(name: str, path):
+    """An output path is a non-empty string, with no NUL, that encodes as a file name."""
+    if not isinstance(path, str):
+        raise InvalidConfigError(f"{name} must be a path string")
+    if path == "":
+        raise InvalidConfigError(f"{name} must be a non-empty path string")
+    try:
+        if b"\0" in os.fsencode(path):
+            raise InvalidConfigError(f"{name} {path!r} holds a NUL character")
+    except UnicodeEncodeError:
+        raise InvalidConfigError(f"{name} {path!r} cannot be encoded as a file name")
+
+
 def cmd_gen(args) -> int:
     if args.n is None or (args.kind == "random" and args.m is None):
         needs = "--m and --n" if args.kind == "random" else "--n"
@@ -155,15 +168,8 @@ def _load_scan_config(path: str) -> dict:
         InvalidConfigError,
     )
     for key in ("csv_out", "json_out"):  # before the scan runs, not when it is written
-        if doc.get(key) is not None and not isinstance(doc[key], str):
-            raise InvalidConfigError(f"{key} must be a path string")
-        if doc.get(key) == "":
-            raise InvalidConfigError(f"{key} must be a non-empty path string")
-        try:
-            if b"\0" in os.fsencode(doc.get(key) or ""):
-                raise InvalidConfigError(f"{key} {doc[key]!r} holds a NUL character")
-        except UnicodeEncodeError:
-            raise InvalidConfigError(f"{key} {doc[key]!r} cannot be encoded as a file name")
+        if doc.get(key) is not None:
+            _check_out_path(key, doc[key])
     if not isinstance(doc["kernels"], list):
         raise InvalidConfigError("'kernels' must be a list")
     return doc
@@ -264,6 +270,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "out", None) is not None:  # before the work, not when it is written
+            _check_out_path("--out", args.out)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             # By name per call: the cached parser must not pin a cmd_* object.
             return globals()["cmd_" + args.command.replace("-", "_")](args)

@@ -33,7 +33,7 @@ from .errors import (
     check_array,
     check_int,
 )
-from .kernels import KernelSpec, VectorSet
+from .kernels import KernelSpec, VectorSet, inner_table
 
 # Ceiling on monomial basis length.
 BASIS_CAP = 10**6
@@ -90,16 +90,6 @@ def _embed_rows(rows: np.ndarray, p: int) -> np.ndarray:
     return w * np.prod(rows[:, np.array(factors)], axis=2)
 
 
-def embed_homogeneous(x, p: int) -> np.ndarray:
-    """phi(x) with <phi(x), phi(y)> = <x, y>^p; length C(n+p-1, p)."""
-    return feature_matrix(KernelSpec.homogeneous(p), VectorSet([x])).matrix[:, 0]
-
-
-def embed_shifted(x, p: int, c: float) -> np.ndarray:
-    """phi for the shifted kernel: embed (x, sqrt(c)); length C(n+p, p)."""
-    return feature_matrix(KernelSpec.shifted(p, c), VectorSet([x])).matrix[:, 0]
-
-
 @dataclass(frozen=True)
 class FeatureMatrix:
     """D = [phi(x_1) ... phi(x_m)] as columns; D^H D reproduces the Gram."""
@@ -123,7 +113,7 @@ class FeatureMatrix:
 
     def reconstructed_gram(self) -> np.ndarray:
         """D^H D, the kernel table this map realizes."""
-        return self.matrix.conj().T @ self.matrix
+        return inner_table(self.matrix.T)
 
 
 def feature_matrix(spec: KernelSpec, vs: VectorSet) -> FeatureMatrix:

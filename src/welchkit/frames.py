@@ -148,17 +148,11 @@ def _gradient_raw(x: np.ndarray, t: np.ndarray, p: int) -> np.ndarray:
     """Ambient gradient of the potential w.r.t. the real parameterization.
 
     grad_i = 4p sum_j |t_ij|^(2(p-1)) conj(t_ij) x_j, with t = inner_table(x).
-    The finite-difference invariant in the tests is the authoritative check
-    of this formula.
+    The finite-difference test in tests/test_frames.py is the authoritative
+    check of this formula.
     """
     w = np.abs(t) ** (2 * p - 2) * np.conj(t)
     return 4.0 * p * (w @ x)
-
-
-def potential_gradient(vs: VectorSet, p: int) -> np.ndarray:
-    """Ambient (unconstrained) potential gradient, one row per vector."""
-    p = check_int("degree p", p, 1)
-    return _gradient_raw(vs.vectors, inner_table(vs.vectors), p)
 
 
 def _project_tangent(x: np.ndarray, grad: np.ndarray) -> np.ndarray:

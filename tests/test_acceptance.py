@@ -15,27 +15,29 @@ import time
 import numpy as np
 from helpers import random_vectors
 
+from welchkit import frames
 from welchkit.bounds import (
     coherence,
     gram_rank_report,
     shifted_report,
-    sum_power_lhs,
     welch_coherence_bound,
     welch_sum_bound,
 )
-from welchkit.features import (
-    binomial,
-    embed_homogeneous,
-    embed_shifted,
-)
+from welchkit.features import binomial, feature_matrix
 from welchkit.frames import (
     OptimizerConfig,
     minimize_frame_potential,
     orthonormal_frame,
-    potential_gradient,
     simplex_frame,
 )
-from welchkit.kernels import KernelSpec, VectorSet, eval_kernel, gram_matrix
+from welchkit.kernels import (
+    KernelSpec,
+    VectorSet,
+    eval_kernel,
+    gram_matrix,
+    inner_table,
+    power_sum,
+)
 from welchkit.linalg import clamp_psd, hermitian_eigenvalues
 from welchkit.serialize import canonical_json, optimize_result_to_dict
 
@@ -88,7 +90,7 @@ def _run_power_sum_trials():
         p = int(rng.integers(1, 5))
         field = "complex" if rng.integers(2) else "real"
         vs = random_vectors(rng, m, n, field=field, unit=True)
-        lhs = sum_power_lhs(vs, p)
+        lhs = power_sum(inner_table(vs.vectors), p)
         rhs = welch_sum_bound(m, n, p)
         rel = (lhs - rhs) / max(1.0, abs(rhs))
         worst = min(worst, rel)
@@ -143,8 +145,8 @@ def _fd_gradient(vs, p, h=1e-6):
                 minus = base.copy()
                 plus[i, k] += h * unit
                 minus[i, k] -= h * unit
-                fp = sum_power_lhs(VectorSet(plus), p)
-                fm = sum_power_lhs(VectorSet(minus), p)
+                fp = power_sum(inner_table(plus), p)
+                fm = power_sum(inner_table(minus), p)
                 grad[i, k] += (fp - fm) / (2.0 * h) * unit
     return grad
 
@@ -215,7 +217,7 @@ def test_03_simplex_tightness():
         assert not bound.vacuous
         worst_coh = max(worst_coh, abs(coherence(vs) - bound.value))
         worst_sum = max(
-            worst_sum, abs(sum_power_lhs(vs, 1) - welch_sum_bound(m, n, 1))
+            worst_sum, abs(power_sum(inner_table(vs.vectors), 1) - welch_sum_bound(m, n, 1))
         )
     ok = worst_coh < 1e-9 and worst_sum < 1e-9
     _verdict(
@@ -237,15 +239,13 @@ def test_04_feature_map_reproduces_kernels():
         x = (rng.normal(size=n) + 1j * rng.normal(size=n)) * scale
         y = (rng.normal(size=n) + 1j * rng.normal(size=n)) * scale
 
-        phi_x = embed_homogeneous(x, p)
-        phi_y = embed_homogeneous(y, p)
+        phi_x, phi_y = feature_matrix(KernelSpec.homogeneous(p), VectorSet([x, y])).matrix.T
         k = eval_kernel(KernelSpec.homogeneous(p), x, y)
         err = abs(np.vdot(phi_x, phi_y) - k) / max(1.0, abs(k))
         worst = max(worst, err)
         dims_ok = dims_ok and phi_x.shape == (binomial(n + p - 1, p),)
 
-        psi_x = embed_shifted(x, p, c)
-        psi_y = embed_shifted(y, p, c)
+        psi_x, psi_y = feature_matrix(KernelSpec.shifted(p, c), VectorSet([x, y])).matrix.T
         ks = eval_kernel(KernelSpec.shifted(p, c), x, y)
         err = abs(np.vdot(psi_x, psi_y) - ks) / max(1.0, abs(ks))
         worst = max(worst, err)
@@ -283,7 +283,7 @@ def test_06_optimizer_reaches_known_minima():
 
     rng = _rng(6)
     vs = random_vectors(rng, 4, 2, field="complex", unit=True)
-    analytic = potential_gradient(vs, 1)
+    analytic = frames._gradient_raw(vs.vectors, inner_table(vs.vectors), 1)
     fd = _fd_gradient(vs, 1)
     grad_err = float(
         np.max(np.abs(fd - analytic)) / max(1.0, float(np.max(np.abs(analytic))))

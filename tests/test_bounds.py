@@ -13,7 +13,6 @@ from welchkit.bounds import (
     power_sum_report,
     shifted_report,
     shifted_unit_report,
-    sum_power_lhs,
     welch_coherence_bound,
     welch_sum_bound,
 )
@@ -25,7 +24,7 @@ from welchkit.errors import (
 )
 from welchkit.features import binomial
 from welchkit.frames import random_unit_vectors
-from welchkit.kernels import KernelSpec, VectorSet, gram_matrix
+from welchkit.kernels import KernelSpec, VectorSet, gram_matrix, inner_table, power_sum
 
 
 def plane_simplex():
@@ -85,18 +84,20 @@ class TestWelchCoherenceBound:
 
 
 class TestSumPowerLhs:
+    """The power-sum lhs: power_sum of the inner-product table."""
+
     def test_orthonormal_counts_diagonal(self):
         for p in (1, 2, 3):
-            assert sum_power_lhs(orthonormal(4), p) == 4.0
+            assert power_sum(inner_table(orthonormal(4).vectors), p) == 4.0
 
     def test_repeated_vector_m_squared(self):
         v = np.array([1.0, 0.0])
         vs = VectorSet(vectors=np.stack([v] * 5), field="real")
-        assert abs(sum_power_lhs(vs, 2) - 25.0) < 1e-12
+        assert abs(power_sum(inner_table(vs.vectors), 2) - 25.0) < 1e-12
 
     def test_plane_simplex(self):
         # 3 diagonal ones + 6 off-diagonal 0.25 terms
-        assert abs(sum_power_lhs(plane_simplex(), 1) - 4.5) < 1e-12
+        assert abs(power_sum(inner_table(plane_simplex().vectors), 1) - 4.5) < 1e-12
 
 
 class TestWelchSumBound:
@@ -469,7 +470,7 @@ class TestChainConsistency:
             p = int(rng.integers(1, 4))
             vs = random_vectors(rng, m, n, unit=True)
             mu = coherence(vs)
-            s = sum_power_lhs(vs, p)
+            s = power_sum(inner_table(vs.vectors), p)
             upper = m * (m - 1) * mu ** (2 * p) + m
             assert upper >= s - 1e-9 * max(1.0, s)
             lower = welch_sum_bound(m, n, p)

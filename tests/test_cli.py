@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -928,6 +929,42 @@ def test_unallocatable_size_is_argument_error(tmp_path, monkeypatch, capsys, arg
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json"]
 
 
+# One small run of each command that writes --out, reading set.json.
+OUT_COMMANDS = {
+    "gen": ("gen", "random", "--m", "3", "--n", "2"),
+    "check": ("check", "--in", "set.json", "--inequality", "power-sum", "--p", "1"),
+    "optimize": ("optimize", "--m", "3", "--n", "2", "--p", "1", "--restarts", "1"),
+}
+
+
+@pytest.mark.parametrize(
+    "path, needle",
+    [
+        pytest.param("", "--out must be a non-empty path string", id="empty"),
+        pytest.param("a\0b", "holds a NUL character", id="nul"),
+        pytest.param("\ud800", "cannot be encoded as a file name", id="unencodable"),
+    ],
+)
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_bad_out_path_rejected_before_the_work(
+    tmp_path, monkeypatch, capsys, command, path, needle
+):
+    """The scan config's output-path rule holds for --out too: exit 2 before the
+    command runs, nothing written.  An empty path would resolve to the parent of
+    the working directory."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    (work / "set.json").write_text(UNIT_SET)
+    before = sorted(os.listdir(tmp_path.parent))
+    code, out, err = run(capsys, *OUT_COMMANDS[command], "--out", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --out ") and needle in err
+    assert sorted(os.listdir(work)) == ["set.json"]
+    assert sorted(os.listdir(tmp_path)) == ["work"]
+    assert sorted(os.listdir(tmp_path.parent)) == before
+
+
 @pytest.mark.parametrize(
     "command, name, doc, code, needle",
     [
@@ -1028,6 +1065,25 @@ def test_readme_cli_session(tmp_path, monkeypatch, capsys):
         "iterations=9",
         "# max_error=... rank=6 embedding_dim=6",
     ]
+
+
+def test_readme_library_block(capsys):
+    """The README's Library block runs as written, so every public name it
+    promises exists."""
+    exec("\n".join(code_block("README.md", "## Library", "python")), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_export_list_matches_the_namespace():
+    """__all__ names every public non-module attribute of the package, once, and
+    exactly the names that `from welchkit import *` binds."""
+    public = {name for name, value in vars(welchkit).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(set(welchkit.__all__)) == len(welchkit.__all__)
+    assert set(welchkit.__all__) == public
+    star = {}
+    exec("from welchkit import *", star)
+    assert set(star) - {"__builtins__"} == public
 
 
 def test_import_loads_no_unused_stdlib_modules():

@@ -8,8 +8,6 @@ from welchkit.errors import CombinatorialOverflowError, UnsupportedKernelError
 from welchkit.features import (
     BASIS_CAP,
     binomial,
-    embed_homogeneous,
-    embed_shifted,
     embedding_dim,
     feature_matrix,
     multinomial,
@@ -63,16 +61,18 @@ class TestMonomialBasis:
 
     def test_degree_one(self):
         x = np.array([2.0, 3.0 - 1.0j])
-        assert np.array_equal(embed_homogeneous(x, 1), x)
+        fm = feature_matrix(KernelSpec.homogeneous(1), VectorSet([x]))
+        assert np.array_equal(fm.matrix[:, 0], x)
 
     def test_degree_two(self):
         # phi((a, b)) = (a^2, sqrt(2) a b, b^2)
         a, b = 2.0, 3.0
-        got = embed_homogeneous(np.array([a, b]), 2)
+        got = feature_matrix(KernelSpec.homogeneous(2), VectorSet([[a, b]])).matrix[:, 0]
         assert np.allclose(got, [a * a, np.sqrt(2) * a * b, b * b], rtol=1e-15, atol=0)
 
     def test_three_variables_degree_two_length(self):
-        assert embed_homogeneous(np.ones(3), 2).shape == (6,)
+        fm = feature_matrix(KernelSpec.homogeneous(2), VectorSet(np.ones((1, 3))))
+        assert fm.matrix.shape == (6, 1)
 
     def test_lengths_match_dimension_formula(self):
         for n in range(1, 6):
@@ -89,12 +89,13 @@ class TestMonomialBasis:
                 np.sqrt(multinomial(p, alpha)) * np.prod(x ** np.array(alpha))
                 for alpha in lex_descending_multi_indices(n, p)
             ]
-            assert np.allclose(embed_homogeneous(x, p), want, rtol=1e-13, atol=0)
+            got = feature_matrix(KernelSpec.homogeneous(p), VectorSet([x])).matrix[:, 0]
+            assert np.allclose(got, want, rtol=1e-13, atol=0)
 
     def test_large_n_no_recursion_limit(self):
-        first, last = np.eye(1200)[0], np.eye(1200)[-1]
-        assert np.array_equal(embed_homogeneous(first, 1), first)
-        assert np.array_equal(embed_homogeneous(last, 1), last)
+        ends = np.eye(1200)[[0, -1]]
+        fm = feature_matrix(KernelSpec.homogeneous(1), VectorSet(ends))
+        assert np.array_equal(fm.matrix, ends.T)
 
     def test_cap_enforced(self):
         assert binomial(100 + 5 - 1, 5) > BASIS_CAP == 10**6
@@ -112,20 +113,22 @@ class TestMonomialBasis:
 
     def test_rejects_degenerate_arguments(self):
         with pytest.raises(ValueError):
-            embed_homogeneous(np.ones(2), 0)
+            feature_matrix(KernelSpec.homogeneous(0), VectorSet([np.ones(2)]))
         with pytest.raises(ValueError):
-            embed_homogeneous(np.ones(0), 2)
+            feature_matrix(KernelSpec.homogeneous(2), VectorSet([np.ones(0)]))
 
 
 class TestEmbedHomogeneous:
+    """The homogeneous map phi, column by column of feature_matrix."""
+
     def test_basis_vector_survives_single_monomial(self):
-        got = embed_homogeneous(np.array([1.0, 0.0]), 2)
+        got = feature_matrix(KernelSpec.homogeneous(2), VectorSet([[1.0, 0.0]])).matrix[:, 0]
         assert np.allclose(got, [1.0, 0.0, 0.0])
 
     def test_degree_two_closed_form(self):
         # (a, b) -> (a^2, sqrt(2) a b, b^2)
         a, b = 2.0, 3.0
-        got = embed_homogeneous(np.array([a, b]), 2)
+        got = feature_matrix(KernelSpec.homogeneous(2), VectorSet([[a, b]])).matrix[:, 0]
         want = np.array([a**2, np.sqrt(2) * a * b, b**2])
         assert np.allclose(got, want, atol=1e-14)
 
@@ -135,7 +138,8 @@ class TestEmbedHomogeneous:
         for _ in range(20):
             x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            lhs = np.vdot(embed_homogeneous(x, 3), embed_homogeneous(y, 3))
+            phi = feature_matrix(spec, VectorSet([x, y])).matrix
+            lhs = np.vdot(phi[:, 0], phi[:, 1])
             k = eval_kernel(spec, x, y)
             assert abs(lhs - k) < 1e-10 * max(1.0, abs(k))
 
@@ -143,22 +147,25 @@ class TestEmbedHomogeneous:
         for n in (1, 2, 4):
             for p in (1, 3):
                 x = np.arange(1, n + 1, dtype=float)
-                assert embed_homogeneous(x, p).shape == (binomial(n + p - 1, p),)
+                fm = feature_matrix(KernelSpec.homogeneous(p), VectorSet([x]))
+                assert fm.matrix.shape == (binomial(n + p - 1, p), 1)
 
     def test_rejects_non_finite_entries(self):
         with pytest.raises(ValueError):
-            embed_homogeneous([np.inf, 1.0], 2)
+            feature_matrix(KernelSpec.homogeneous(2), VectorSet([[np.inf, 1.0]]))
 
 
 class TestEmbedShifted:
+    """The shifted map: phi of (x, sqrt(c)), column by column of feature_matrix."""
+
     def test_zero_shift_appends_zero(self):
         z = 0.3 + 0.4j
-        got = embed_shifted(np.array([z]), 1, 0.0)
+        got = feature_matrix(KernelSpec.shifted(1, 0.0), VectorSet([[z]])).matrix[:, 0]
         assert np.allclose(got, [z, 0.0])
 
     def test_unit_shift_appends_one(self):
         z = 0.3 + 0.4j
-        got = embed_shifted(np.array([z]), 1, 1.0)
+        got = feature_matrix(KernelSpec.shifted(1, 1.0), VectorSet([[z]])).matrix[:, 0]
         assert np.allclose(got, [z, 1.0])
 
     def test_matches_kernel_n3_p2(self):
@@ -167,21 +174,22 @@ class TestEmbedShifted:
         for _ in range(20):
             x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            lhs = np.vdot(embed_shifted(x, 2, 0.7), embed_shifted(y, 2, 0.7))
+            phi = feature_matrix(spec, VectorSet([x, y])).matrix
+            lhs = np.vdot(phi[:, 0], phi[:, 1])
             k = eval_kernel(spec, x, y)
             assert abs(lhs - k) < 1e-10 * max(1.0, abs(k))
 
     def test_length_is_augmented_dimension_formula(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert embed_shifted(x, 2, 0.5).shape == (binomial(5, 2),)
+        fm = feature_matrix(KernelSpec.shifted(2, 0.5), VectorSet([[1.0, 2.0, 3.0]]))
+        assert fm.matrix.shape == (binomial(5, 2), 1)
 
     def test_rejects_negative_shift(self):
         with pytest.raises(ValueError):
-            embed_shifted(np.ones(2), 1, -0.5)
+            feature_matrix(KernelSpec.shifted(1, -0.5), VectorSet([np.ones(2)]))
 
     def test_rejects_non_finite_shift(self):
         with pytest.raises(ValueError):
-            embed_shifted(np.ones(2), 2, np.nan)
+            feature_matrix(KernelSpec.shifted(2, np.nan), VectorSet([np.ones(2)]))
 
 
 class TestKernelMapEquivalence:
@@ -195,11 +203,9 @@ class TestKernelMapEquivalence:
             y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             if trial % 2 == 0:
                 spec = KernelSpec.homogeneous(p)
-                fx, fy = embed_homogeneous(x, p), embed_homogeneous(y, p)
             else:
-                c = float(rng.uniform(0.0, 2.0))
-                spec = KernelSpec.shifted(p, c)
-                fx, fy = embed_shifted(x, p, c), embed_shifted(y, p, c)
+                spec = KernelSpec.shifted(p, float(rng.uniform(0.0, 2.0)))
+            fx, fy = feature_matrix(spec, VectorSet([x, y])).matrix.T
             k = eval_kernel(spec, x, y)
             assert abs(np.vdot(fx, fy) - k) <= 1e-10 * max(1.0, abs(k))
 
@@ -210,10 +216,8 @@ class TestKernelMapEquivalence:
             p = int(rng.integers(1, 5))
             c = float(rng.uniform(0.0, 2.0))
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            for spec, phi in (
-                (KernelSpec.homogeneous(p), embed_homogeneous(x, p)),
-                (KernelSpec.shifted(p, c), embed_shifted(x, p, c)),
-            ):
+            for spec in (KernelSpec.homogeneous(p), KernelSpec.shifted(p, c)):
+                phi = feature_matrix(spec, VectorSet([x])).matrix[:, 0]
                 nrm = float(np.vdot(phi, phi).real)
                 k = eval_kernel(spec, x, x).real
                 assert abs(nrm - k) <= 1e-12 * max(1.0, k)

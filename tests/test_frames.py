@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from welchkit import frames
-from welchkit.bounds import coherence, sum_power_lhs, welch_coherence_bound, welch_sum_bound
+from welchkit.bounds import coherence, welch_coherence_bound, welch_sum_bound
 from welchkit.errors import InvalidConfigError, NumericalError
 from welchkit.frames import (
     OptimizeResult,
     OptimizerConfig,
     minimize_frame_potential,
     orthonormal_frame,
-    potential_gradient,
     random_unit_vectors,
     simplex_frame,
 )
@@ -32,8 +31,8 @@ def fd_gradient(x, p, h=1e-6):
                 xp[i, k] += h * unit
                 xm = x.copy()
                 xm[i, k] -= h * unit
-                fp = sum_power_lhs(VectorSet(vectors=xp), p)
-                fm = sum_power_lhs(VectorSet(vectors=xm), p)
+                fp = power_sum(inner_table(xp), p)
+                fm = power_sum(inner_table(xm), p)
                 grad[i, k] += (fp - fm) / (2 * h) * unit
     return grad
 
@@ -70,7 +69,7 @@ class TestOrthonormalFrame:
     def test_power_sum_equals_bound(self):
         for n in (2, 5):
             vs = orthonormal_frame(n)
-            assert sum_power_lhs(vs, 1) == welch_sum_bound(n, n, 1)
+            assert power_sum(inner_table(vs.vectors), 1) == welch_sum_bound(n, n, 1)
 
 
 class TestSimplexFrame:
@@ -103,7 +102,7 @@ class TestSimplexFrame:
         bound = welch_coherence_bound(n + 1, n, 1)
         assert not bound.vacuous
         assert abs(coherence(vs) - bound.value) < 1e-9
-        lhs = sum_power_lhs(vs, 1)
+        lhs = power_sum(inner_table(vs.vectors), 1)
         rhs = welch_sum_bound(n + 1, n, 1)
         assert abs(lhs - rhs) < 1e-9
 
@@ -114,7 +113,7 @@ class TestPotentialAndGradient:
         rng = np.random.default_rng(71)
         x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         x = x / np.linalg.norm(x, axis=1, keepdims=True)
-        analytic = potential_gradient(VectorSet(vectors=x), p)
+        analytic = frames._gradient_raw(x, inner_table(x), p)
         numeric = fd_gradient(x, p)
         err = np.abs(analytic - numeric)
         assert np.all(err <= 1e-5 * np.maximum(1.0, np.abs(analytic)))
@@ -292,7 +291,7 @@ def reference_descend(x, p, cfg):
     f = power_sum(inner_table(x), p)
     trajectory, pairs, x_old, g_old = [f], deque(maxlen=frames._MEMORY), None, None
     for _ in range(cfg.max_iters):
-        rgrad = tangent(x, potential_gradient(VectorSet(vectors=x), p))
+        rgrad = tangent(x, frames._gradient_raw(x, inner_table(x), p))
         g = flat(rgrad)
         if math.sqrt(g @ g) < cfg.grad_tol:
             return x, f, trajectory, "grad_tol"

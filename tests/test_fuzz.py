@@ -22,7 +22,7 @@ from welchkit import cli
 from welchkit.bounds import (
     coherence_report,
     generalized_report,
-    sum_power_lhs,
+    power_sum_report,
     welch_coherence_bound,
     welch_sum_bound,
 )
@@ -32,7 +32,6 @@ from welchkit.frames import (
     OptimizerConfig,
     minimize_frame_potential,
     orthonormal_frame,
-    potential_gradient,
     random_unit_vectors,
     simplex_frame,
 )
@@ -241,7 +240,7 @@ LIBRARY_CALLS = {
     "welch_coherence_bound m": lambda v: welch_coherence_bound(v, 2, 2),
     "welch_coherence_bound n": lambda v: welch_coherence_bound(4, v, 2),
     "welch_coherence_bound p": lambda v: welch_coherence_bound(4, 2, v),
-    "sum_power_lhs p": lambda v: sum_power_lhs(VS, v),
+    "power_sum_report p": lambda v: power_sum_report(VS, v),
     "generalized_report p": lambda v: generalized_report(VS, v),
     "coherence_report p": lambda v: coherence_report(VS, v),
     "random_unit_vectors m": lambda v: random_unit_vectors(v, 2),
@@ -249,7 +248,6 @@ LIBRARY_CALLS = {
     "random_unit_vectors seed": lambda v: random_unit_vectors(3, 2, seed=v),
     "orthonormal_frame n": lambda v: orthonormal_frame(v),
     "simplex_frame n": lambda v: simplex_frame(v),
-    "potential_gradient p": lambda v: potential_gradient(VS, v),
     "vector_set_from_dict m": lambda v: vector_set_from_dict({**DOC, "m": v}),
     "vector_set_from_dict n": lambda v: vector_set_from_dict({**DOC, "n": v}),
     "numerical_rank rel_tol": lambda v: numerical_rank(SPECTRUM, v),

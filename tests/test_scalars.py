@@ -21,7 +21,6 @@ from welchkit.frames import (
     OptimizerConfig,
     minimize_frame_potential,
     orthonormal_frame,
-    potential_gradient,
     random_unit_vectors,
     simplex_frame,
 )
@@ -213,8 +212,8 @@ PROBES = [
                  "parameter gamma", id="gaussian-huge-gamma"),
     pytest.param(lambda: welch_sum_bound(True, 2, 2), ValueError,
                  r"\bm must be an integer", id="sum-bound-bool-m"),
-    pytest.param(lambda: potential_gradient(VS, 2.0), ValueError,
-                 "degree p", id="gradient-float-p"),
+    pytest.param(lambda: OptimizerConfig(p=2.0), InvalidConfigError,
+                 r"\bp must be an integer", id="config-float-p"),
     pytest.param(lambda: numerical_rank(SPECTRUM, float("nan")), ValueError,
                  "rel_tol", id="rank-nan-tol"),
     pytest.param(lambda: numerical_rank(SPECTRUM, -1.0), ValueError,
