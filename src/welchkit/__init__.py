@@ -9,7 +9,6 @@ scans numerical Gram ranks against the predicted embedding dimensions.
 
 from .bounds import (
     BoundReport,
-    CoherenceBound,
     coherence,
     coherence_report,
     generalized_report,
@@ -86,7 +85,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AllZeroVectorsError",
     "BoundReport",
-    "CoherenceBound",
     "CombinatorialOverflowError",
     "DEFAULT_EPSILON",
     "DimensionMismatchError",

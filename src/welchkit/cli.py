@@ -77,7 +77,8 @@ def _scan_kernel(entry) -> KernelSpec:
 
 
 def _check_out_path(name: str, path):
-    """An output path is a non-empty string, with no NUL, that encodes as a file name."""
+    """An output path is a non-empty string, with no NUL, that encodes as a file
+    name and names a file, not a directory, in an existing directory."""
     if not isinstance(path, str):
         raise InvalidConfigError(f"{name} must be a path string")
     if path == "":
@@ -87,6 +88,10 @@ def _check_out_path(name: str, path):
             raise InvalidConfigError(f"{name} {path!r} holds a NUL character")
     except UnicodeEncodeError:
         raise InvalidConfigError(f"{name} {path!r} cannot be encoded as a file name")
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{name} {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(f"{name} {path!r} is not in an existing directory")
 
 
 def cmd_gen(args) -> int:

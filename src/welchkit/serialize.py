@@ -94,7 +94,7 @@ def atomic_write(path: str, text: str):
     The temp file is created exclusively with mode 0o666, which the kernel
     reduces by the umask as for any new file, and fsynced before the rename.
     """
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.path.dirname(path) or "."
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -3,7 +3,7 @@ spectra built directly from eigenvalues."""
 
 import numpy as np
 
-from welchkit.kernels import VectorSet
+from welchkit.kernels import VectorSet, inner_table, power_sum
 from welchkit.linalg import EigenSpectrum
 
 
@@ -39,3 +39,20 @@ def diagonal_spectrum(values):
     return EigenSpectrum(
         values, trace=float(np.sum(values)), frobenius_sq=float(np.sum(values**2))
     )
+
+
+def fd_gradient(x, p, h=1e-6):
+    """Central finite differences of the frame potential power_sum(inner_table(x), p)
+    over the re/im coordinates of x: the oracle for the analytic gradient."""
+    grad = np.zeros_like(x, dtype=np.complex128)
+    for i in range(x.shape[0]):
+        for k in range(x.shape[1]):
+            for unit in (1.0, 1j):
+                xp = x.copy()
+                xp[i, k] += h * unit
+                xm = x.copy()
+                xm[i, k] -= h * unit
+                fp = power_sum(inner_table(xp), p)
+                fm = power_sum(inner_table(xm), p)
+                grad[i, k] += (fp - fm) / (2 * h) * unit
+    return grad

@@ -58,21 +58,20 @@ class TestCoherence:
 class TestWelchCoherenceBound:
     def test_three_vectors_in_plane(self):
         b = welch_coherence_bound(3, 2, 1)
-        assert b.value == 0.5
-        assert not b.vacuous
+        assert b == 0.5
 
     def test_vacuous_at_m_equal_dim(self):
         b = welch_coherence_bound(2, 2, 1)
-        assert b.value == 0.0
-        assert b.vacuous
+        assert b == 0.0
+        assert type(b) is float
 
     def test_seven_vectors_in_plane(self):
         b = welch_coherence_bound(7, 2, 1)
-        assert abs(b.value - 0.6454972243679028) < 1e-15
+        assert abs(b - 0.6454972243679028) < 1e-15
 
     def test_vacuous_for_higher_degree(self):
         # C(n+p-1, p) = C(3, 2) = 3 >= m
-        assert welch_coherence_bound(3, 2, 2).vacuous
+        assert welch_coherence_bound(3, 2, 2) == 0.0
 
     def test_rejects_single_vector(self):
         with pytest.raises(TooFewVectorsError):
@@ -326,6 +325,12 @@ class TestShiftedReport:
         """(1 + 1e-12)^(4p) is past float range at p = 1e15; the report still holds."""
         rep = shifted_report(VectorSet(vectors=np.array([[1.0], [-1.0]])), 10**15, 0.0)
         assert rep.holds and rep.rhs_unit == rep.rhs
+
+    def test_overflowing_rhs_is_a_numerical_error(self):
+        """A norm of 1 + 1e-13 to the power 10^17 is past float range."""
+        vs = VectorSet(np.array([[1 + 1e-13], [1.0]]))
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="not finite"):
+            shifted_report(vs, 10**17, 0.0)
 
 
 class TestShiftedUnitReport:

@@ -621,6 +621,17 @@ class TestRankScan:
         assert err.startswith(f"error: {key} ") and "NUL" in err and "a\\x00b" in err
         assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
+    @pytest.mark.parametrize("key", ["csv_out", "json_out"])
+    def test_directory_output_path_rejected_before_the_scan(
+        self, tmp_path, monkeypatch, capsys, key
+    ):
+        path, _ = self.write_config(tmp_path, **{key: str(tmp_path)})
+        monkeypatch.setattr(cli, "rank_scan", lambda *a, **k: pytest.fail("scan ran"))
+        code, out, err = run(capsys, "rank-scan", "--config", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: {key} {str(tmp_path)!r} is a directory\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
     def test_missing_config_file_is_io_error(self, capsys):
         code, _, _ = run(capsys, "rank-scan", "--config", "/nonexistent.json")
         assert code == 3
@@ -938,29 +949,40 @@ OUT_COMMANDS = {
 
 
 @pytest.mark.parametrize(
-    "path, needle",
+    "path, code, needle",
     [
-        pytest.param("", "--out must be a non-empty path string", id="empty"),
-        pytest.param("a\0b", "holds a NUL character", id="nul"),
-        pytest.param("\ud800", "cannot be encoded as a file name", id="unencodable"),
+        pytest.param("", 2, "--out must be a non-empty path string", id="empty"),
+        pytest.param("a\0b", 2, "holds a NUL character", id="nul"),
+        pytest.param("\ud800", 2, "cannot be encoded as a file name", id="unencodable"),
+        pytest.param(".", 3, "'.' is a directory", id="dot"),
+        pytest.param("adir", 3, "'adir' is a directory", id="directory"),
+        pytest.param("adir/", 3, "'adir/' is a directory", id="directory-slash"),
+        pytest.param("missing/x.json", 3, "is not in an existing directory",
+                     id="missing-directory"),
     ],
 )
 @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
 def test_bad_out_path_rejected_before_the_work(
-    tmp_path, monkeypatch, capsys, command, path, needle
+    tmp_path, monkeypatch, capsys, command, path, code, needle
 ):
-    """The scan config's output-path rule holds for --out too: exit 2 before the
-    command runs, nothing written.  An empty path would resolve to the parent of
-    the working directory."""
+    """The scan config's output-path rule holds for --out too: its exit code
+    before the command runs, nothing written.  An empty path or "." would put
+    the temp file in the parent of the working directory."""
     work = tmp_path / "work"
-    work.mkdir()
+    (work / "adir").mkdir(parents=True)
     monkeypatch.chdir(work)
     (work / "set.json").write_text(UNIT_SET)
     before = sorted(os.listdir(tmp_path.parent))
-    code, out, err = run(capsys, *OUT_COMMANDS[command], "--out", path)
-    assert (code, out) == (2, "")
+
+    def fail(args):
+        pytest.fail(f"{command} ran")
+
+    monkeypatch.setattr(cli, "cmd_" + command, fail)
+    got, out, err = run(capsys, *OUT_COMMANDS[command], "--out", path)
+    assert (got, out) == (code, "")
     assert err.startswith("error: --out ") and needle in err
-    assert sorted(os.listdir(work)) == ["set.json"]
+    assert sorted(os.listdir(work)) == ["adir", "set.json"]
+    assert os.listdir(work / "adir") == []
     assert sorted(os.listdir(tmp_path)) == ["work"]
     assert sorted(os.listdir(tmp_path.parent)) == before
 

@@ -233,7 +233,7 @@ def test_numpy_integers_accepted_everywhere():
     assert type(KernelSpec.homogeneous(two).p) is int
     assert binomial(np.int64(4), two) == 6
     assert welch_sum_bound(np.int64(3), two, np.int64(1)) == 4.5
-    assert welch_coherence_bound(np.int64(3), two, np.int64(1)).value == 0.5
+    assert welch_coherence_bound(np.int64(3), two, np.int64(1)) == 0.5
     cfg = OptimizerConfig(p=np.int64(1), max_iters=np.int64(5), restarts=np.int64(1))
     assert cfg == CFG
     assert minimize_frame_potential(np.int64(4), two, cfg).bound == 8.0

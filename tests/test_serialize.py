@@ -128,6 +128,27 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
         assert target.read_text() == "old\n"
 
+    def test_temp_file_is_in_the_target_directory_for_a_bare_name(
+        self, tmp_path, monkeypatch
+    ):
+        """"." is the working directory, whose own directory is its parent: the
+        temp file still goes in the working directory, and the rename fails."""
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        opened = []
+        real_open = os.open
+
+        def spy(path, *args):
+            opened.append(path)
+            return real_open(path, *args)
+
+        monkeypatch.setattr(os, "open", spy)
+        with pytest.raises(OSError):
+            atomic_write(".", "x\n")
+        assert len(opened) == 1 and os.path.dirname(opened[0]) == "."
+        assert os.listdir(work) == [] and os.listdir(tmp_path) == ["work"]
+
 
 class TestVectorSetFiles:
     def test_round_trip_complex_with_labels(self, tmp_path):
