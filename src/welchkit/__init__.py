@@ -22,7 +22,6 @@ from .bounds import (
 from .errors import (
     AllZeroVectorsError,
     CombinatorialOverflowError,
-    DimensionMismatchError,
     InvalidConfigError,
     InvalidScanError,
     NoConvergenceError,
@@ -35,13 +34,7 @@ from .errors import (
     UnsupportedKernelError,
     WelchKitError,
 )
-from .features import (
-    FeatureMatrix,
-    binomial,
-    embedding_dim,
-    feature_matrix,
-    multinomial,
-)
+from .features import FeatureMatrix, embedding_dim, feature_matrix
 from .frames import (
     OptimizeResult,
     OptimizerConfig,
@@ -54,9 +47,7 @@ from .kernels import (
     GramMatrix,
     KernelSpec,
     VectorSet,
-    eval_kernel,
     gram_matrix,
-    inner_product,
     inner_table,
     power_sum,
 )
@@ -87,7 +78,6 @@ __all__ = [
     "BoundReport",
     "CombinatorialOverflowError",
     "DEFAULT_EPSILON",
-    "DimensionMismatchError",
     "EigenSpectrum",
     "FeatureMatrix",
     "GramMatrix",
@@ -107,23 +97,19 @@ __all__ = [
     "UnsupportedKernelError",
     "VectorSet",
     "WelchKitError",
-    "binomial",
     "canonical_json",
     "clamp_psd",
     "coherence",
     "coherence_report",
     "embedding_dim",
-    "eval_kernel",
     "feature_matrix",
     "format_float",
     "generalized_report",
     "gram_matrix",
     "gram_rank_report",
     "hermitian_eigenvalues",
-    "inner_product",
     "inner_table",
     "minimize_frame_potential",
-    "multinomial",
     "numerical_rank",
     "orthonormal_frame",
     "power_sum",

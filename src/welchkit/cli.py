@@ -99,8 +99,13 @@ def cmd_gen(args) -> int:
         needs = "--m and --n" if args.kind == "random" else "--n"
         raise InvalidConfigError(f"gen {args.kind} needs {needs}")
     if args.kind == "random":
-        vs = random_unit_vectors(args.m, args.n, field=args.field, seed=args.seed)
+        # field and seed only when given: random_unit_vectors states their defaults.
+        given = {k: getattr(args, k) for k in ("field", "seed") if getattr(args, k) is not None}
+        vs = random_unit_vectors(args.m, args.n, **given)
     else:
+        for flag in ("m", "field", "seed"):
+            if getattr(args, flag) is not None:
+                raise InvalidConfigError(f"--{flag} does not apply to gen {args.kind}")
         vs = simplex_frame(args.n) if args.kind == "simplex" else orthonormal_frame(args.n)
     write_vector_set(args.out, vs)
     tail = f" coherence={format_float(coherence(vs))}" if vs.m >= 2 else ""
@@ -229,11 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="write a vector-set file")
     gen.add_argument("kind", choices=("random", "simplex", "orthonormal"))
-    gen.add_argument("--seed", type=int, default=0, help="PRNG seed")
+    gen.add_argument("--seed", type=int, help="PRNG seed (random only)")
     gen.add_argument("--out", required=True, help="output file path")
     gen.add_argument("--m", type=int, help="number of vectors (random only)")
     gen.add_argument("--n", type=int, help="ambient dimension")
-    gen.add_argument("--field", choices=("real", "complex"), default="complex")
+    gen.add_argument("--field", choices=("real", "complex"),
+                     help="scalar field (random only)")
 
     check = sub.add_parser("check", help="evaluate one inequality")
     check.add_argument("--in", dest="infile", required=True, help="vector-set file")

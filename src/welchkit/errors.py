@@ -40,11 +40,6 @@ class NotPSDError(WelchKitError):
     """Matrix claimed positive semidefinite has an eigenvalue below -tol."""
 
 
-class DimensionMismatchError(WelchKitError):
-    """Vectors of unequal length fed to a pairwise operation."""
-    exit_code = 2
-
-
 class TooFewVectorsError(WelchKitError):
     """Coherence-type quantities need at least two vectors."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, check_array, check_int, check_real
+from .errors import check_array, check_int, check_real
 from .linalg import EigenSpectrum, clamp_psd, hermitian_eigenvalues, numerical_rank
 
 _FIELDS = ("real", "complex")
@@ -163,31 +163,6 @@ class GramMatrix:
 
     def rank(self) -> int:
         return numerical_rank(self.spectrum())
-
-
-def _pair(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """x and y as 1-D complex128 arrays of one length."""
-    xv, yv = check_array("x", x, 1), check_array("y", y, 1)
-    if xv.shape != yv.shape:
-        raise DimensionMismatchError(
-            f"vectors have lengths {xv.shape[0]} and {yv.shape[0]}"
-        )
-    return xv, yv
-
-
-def inner_product(x, y) -> complex:
-    """<x, y> = x^H y: conjugate-linear in the first argument."""
-    return complex(np.vdot(*_pair(x, y)))
-
-
-def eval_kernel(spec: KernelSpec, x, y) -> complex:
-    """k(x, y) for the given kernel; k(x, x) is always real >= 0."""
-    if spec.variant == "homogeneous":
-        return inner_product(x, y) ** spec.p
-    if spec.variant == "shifted":
-        return (inner_product(x, y) + spec.c) ** spec.p
-    d = np.subtract(*_pair(x, y))
-    return complex(np.exp(-spec.gamma * np.vdot(d, d).real))
 
 
 def inner_table(x: np.ndarray) -> np.ndarray:

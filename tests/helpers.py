@@ -1,5 +1,5 @@
-"""Shared helpers for the test suite: random vector sets, unitary maps and
-spectra built directly from eigenvalues."""
+"""Shared helpers for the test suite: random vector sets, unitary maps,
+spectra built directly from eigenvalues, and a per-pair kernel oracle."""
 
 import numpy as np
 
@@ -16,6 +16,17 @@ def random_vectors(rng, m, n, field="complex", unit=False):
     if unit:
         a = a / np.linalg.norm(a, axis=1, keepdims=True)
     return VectorSet(vectors=a, field=field)
+
+
+def pair_kernel(spec, x, y) -> complex:
+    """k(x, y) for one pair, straight from the definition: np.vdot for <x, y>,
+    direct differences for the gaussian.  It reads only the KernelSpec fields,
+    so it shares no code with the Gram tables it checks."""
+    if spec.variant == "gaussian":
+        d = np.subtract(x, y)
+        return complex(np.exp(-spec.gamma * np.vdot(d, d).real))
+    t = complex(np.vdot(x, y))
+    return (t if spec.variant == "homogeneous" else t + spec.c) ** spec.p
 
 
 def random_unitary(rng, n, reflections=4):

@@ -13,7 +13,7 @@ bytes, reusing the first run through a module-level cache.
 import time
 
 import numpy as np
-from helpers import fd_gradient, random_vectors
+from helpers import fd_gradient, pair_kernel, random_vectors
 
 from welchkit import frames
 from welchkit.bounds import (
@@ -33,7 +33,6 @@ from welchkit.frames import (
 from welchkit.kernels import (
     KernelSpec,
     VectorSet,
-    eval_kernel,
     gram_matrix,
     inner_table,
     power_sum,
@@ -224,13 +223,13 @@ def test_04_feature_map_reproduces_kernels():
         y = (rng.normal(size=n) + 1j * rng.normal(size=n)) * scale
 
         phi_x, phi_y = feature_matrix(KernelSpec.homogeneous(p), VectorSet([x, y])).matrix.T
-        k = eval_kernel(KernelSpec.homogeneous(p), x, y)
+        k = pair_kernel(KernelSpec.homogeneous(p), x, y)
         err = abs(np.vdot(phi_x, phi_y) - k) / max(1.0, abs(k))
         worst = max(worst, err)
         dims_ok = dims_ok and phi_x.shape == (binomial(n + p - 1, p),)
 
         psi_x, psi_y = feature_matrix(KernelSpec.shifted(p, c), VectorSet([x, y])).matrix.T
-        ks = eval_kernel(KernelSpec.shifted(p, c), x, y)
+        ks = pair_kernel(KernelSpec.shifted(p, c), x, y)
         err = abs(np.vdot(psi_x, psi_y) - ks) / max(1.0, abs(ks))
         worst = max(worst, err)
         dims_ok = dims_ok and psi_x.shape == (binomial(n + p, p),)

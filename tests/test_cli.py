@@ -169,6 +169,13 @@ class TestGen:
         assert err.startswith("error: seed must be an integer in [0, 18446744073709551615]")
         assert not out.exists()
 
+    def test_random_defaults_are_seed_0_complex(self, tmp_path, capsys):
+        given, default = tmp_path / "given.json", tmp_path / "default.json"
+        run(capsys, "gen", "random", "--m", "3", "--n", "2", "--seed", "0",
+            "--field", "complex", "--out", str(given))
+        run(capsys, "gen", "random", "--m", "3", "--n", "2", "--out", str(default))
+        assert default.read_bytes() == given.read_bytes()
+
     def test_random_needs_m_and_n(self, capsys):
         code, _, _ = run(capsys, "gen", "random", "--n", "2", "--out", "/dev/null")
         assert code == 2
@@ -792,6 +799,10 @@ class TestParser:
                           "--gamma", "3"), "--gamma", id="shifted-gamma"),
             pytest.param(("check", "--inequality", "coherence", "--p", "2",
                           "--gamma", "3"), "--gamma", id="coherence-gamma"),
+            *(pytest.param(("gen", kind, "--n", "3", flag, value), flag,
+                           id=f"gen-{kind}{flag[1:]}")
+              for kind in ("simplex", "orthonormal")
+              for flag, value in (("--m", "7"), ("--field", "complex"), ("--seed", "7"))),
         ],
     )
     def test_unread_flag_rejected(self, tmp_path, monkeypatch, capsys, argv, flag):
@@ -804,6 +815,8 @@ class TestParser:
         ))
         if argv[0] == "rank-scan":
             source = ("--config", "scan.json")
+        elif argv[0] == "gen":
+            source = ("--out", "out.json")
         else:
             source = ("--in", "set.json")
         code, out, err = run(capsys, *argv, *source)
@@ -827,7 +840,6 @@ EXIT_CODES = {
     errors.NotHermitianError: 4,
     errors.NoConvergenceError: 4,
     errors.NotPSDError: 4,
-    errors.DimensionMismatchError: 2,
     errors.TooFewVectorsError: 4,
     errors.NotUnitNormError: 4,
     errors.AllZeroVectorsError: 4,

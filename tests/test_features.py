@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_vectors
+from helpers import pair_kernel, random_vectors
 from welchkit.errors import CombinatorialOverflowError, UnsupportedKernelError
 from welchkit.features import (
     BASIS_CAP,
@@ -12,7 +12,7 @@ from welchkit.features import (
     feature_matrix,
     multinomial,
 )
-from welchkit.kernels import KernelSpec, VectorSet, eval_kernel, gram_matrix
+from welchkit.kernels import KernelSpec, VectorSet, gram_matrix
 from welchkit.linalg import hermitian_eigenvalues, numerical_rank
 
 
@@ -140,7 +140,7 @@ class TestEmbedHomogeneous:
             y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             phi = feature_matrix(spec, VectorSet([x, y])).matrix
             lhs = np.vdot(phi[:, 0], phi[:, 1])
-            k = eval_kernel(spec, x, y)
+            k = pair_kernel(spec, x, y)
             assert abs(lhs - k) < 1e-10 * max(1.0, abs(k))
 
     def test_length_is_dimension_formula(self):
@@ -176,7 +176,7 @@ class TestEmbedShifted:
             y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             phi = feature_matrix(spec, VectorSet([x, y])).matrix
             lhs = np.vdot(phi[:, 0], phi[:, 1])
-            k = eval_kernel(spec, x, y)
+            k = pair_kernel(spec, x, y)
             assert abs(lhs - k) < 1e-10 * max(1.0, abs(k))
 
     def test_length_is_augmented_dimension_formula(self):
@@ -206,7 +206,7 @@ class TestKernelMapEquivalence:
             else:
                 spec = KernelSpec.shifted(p, float(rng.uniform(0.0, 2.0)))
             fx, fy = feature_matrix(spec, VectorSet([x, y])).matrix.T
-            k = eval_kernel(spec, x, y)
+            k = pair_kernel(spec, x, y)
             assert abs(np.vdot(fx, fy) - k) <= 1e-10 * max(1.0, abs(k))
 
     def test_norm_consistency(self):
@@ -219,7 +219,7 @@ class TestKernelMapEquivalence:
             for spec in (KernelSpec.homogeneous(p), KernelSpec.shifted(p, c)):
                 phi = feature_matrix(spec, VectorSet([x])).matrix[:, 0]
                 nrm = float(np.vdot(phi, phi).real)
-                k = eval_kernel(spec, x, x).real
+                k = pair_kernel(spec, x, x).real
                 assert abs(nrm - k) <= 1e-12 * max(1.0, k)
 
 

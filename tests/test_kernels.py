@@ -3,17 +3,9 @@
 import numpy as np
 import pytest
 
-from helpers import apply_map, random_unitary, random_vectors
+from helpers import apply_map, pair_kernel, random_unitary, random_vectors
 from welchkit import kernels
-from welchkit.errors import DimensionMismatchError
-from welchkit.kernels import (
-    GramMatrix,
-    KernelSpec,
-    VectorSet,
-    eval_kernel,
-    gram_matrix,
-    inner_product,
-)
+from welchkit.kernels import GramMatrix, KernelSpec, VectorSet, gram_matrix, inner_table
 from welchkit.linalg import hermitian_eigenvalues
 
 E1 = np.array([1.0, 0.0])
@@ -32,65 +24,78 @@ def all_variants():
     ]
 
 
+def pair_table(x, y):
+    """inner_table of the two-row array [x; y]: T[0, 1] = <x, y>."""
+    return inner_table(np.array([x, y], dtype=np.complex128))
+
+
+def pair_gram(spec, x, y):
+    """The Gram matrix of the two-vector set [x, y]: G[0, 1] = k(x, y)."""
+    return gram_matrix(spec, VectorSet([x, y])).matrix
+
+
 class TestInnerProduct:
+    """The <x, y> = x^H y convention, read from inner_table."""
+
     def test_same_basis_vector(self):
-        assert inner_product(E1, E1) == 1.0
+        assert pair_table(E1, E1)[0, 1] == 1.0
 
     def test_orthogonal_basis_vectors(self):
-        assert inner_product(E1, E2) == 0.0
+        assert pair_table(E1, E2)[0, 1] == 0.0
 
     def test_complex_conjugation_side(self):
-        # conj(x)^T y = (1*1 + (-i)*(-i)) / 2 = (1 - 1) / 2 = 0
-        x = np.array([1.0, 1.0j]) / np.sqrt(2)
-        y = np.array([1.0, -1.0j]) / np.sqrt(2)
-        assert inner_product(x, y) == 0.0
+        # conj(x)^T y = 1*1 + (-i)*(-i) = 1 - 1 = 0, where x^T y would be 2.  Entries
+        # of modulus 1 keep every product exact: BLAS may fuse the multiply-adds.
+        x = np.array([1.0, 1.0j])
+        y = np.array([1.0, -1.0j])
+        assert pair_table(x, y)[0, 1] == 0.0
 
     def test_conjugate_linear_in_first_argument(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         s = 0.7 - 1.3j
-        lhs = inner_product(s * x, y)
-        rhs = np.conj(s) * inner_product(x, y)
+        lhs = pair_table(s * x, y)[0, 1]
+        rhs = np.conj(s) * pair_table(x, y)[0, 1]
         assert abs(lhs - rhs) < 1e-12
 
     def test_self_inner_product_real_nonnegative(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            v = inner_product(x, x)
+            # The table's own diagonal may carry a rounding-sized imaginary part;
+            # the Gram of the linear kernel stores it real.
+            v = gram_matrix(KernelSpec.homogeneous(1), VectorSet([x])).matrix[0, 0]
             assert v.imag == 0.0
             assert v.real >= 0.0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            inner_product(np.ones(2), np.ones(3))
-
 
 class TestEvalKernel:
+    """Known kernel values, read from the Gram matrices of two-vector sets."""
+
     def test_homogeneous_unit_self(self):
         spec = KernelSpec.homogeneous(2)
-        assert eval_kernel(spec, E1, E1) == 1.0
+        assert np.all(pair_gram(spec, E1, E1) == 1.0)
 
     def test_shifted_orthogonal(self):
         spec = KernelSpec.shifted(1, 1.0)
-        assert eval_kernel(spec, E1, E2) == 1.0
+        assert pair_gram(spec, E1, E2)[0, 1] == 1.0
 
     def test_homogeneous_cube_of_half(self):
         # Unit vectors with inner product exactly 0.5.
         x = E1
         y = np.array([0.5, np.sqrt(0.75)])
         spec = KernelSpec.homogeneous(3)
-        assert abs(eval_kernel(spec, x, y) - 0.125) < 1e-15
+        assert abs(pair_gram(spec, x, y)[0, 1] - 0.125) < 1e-15
 
     def test_gaussian_self_is_one(self):
         spec = KernelSpec.gaussian(3.7)
-        assert eval_kernel(spec, E1, E1) == 1.0
+        assert np.all(pair_gram(spec, E1, E1) == 1.0)
 
     def test_gaussian_known_distance(self):
         # |e1 - e2|^2 = 2
         spec = KernelSpec.gaussian(0.5)
-        got = eval_kernel(spec, E1, E2)
+        got = pair_gram(spec, E1, E2)[0, 1]
         assert abs(got - np.exp(-1.0)) < 1e-15
 
     def test_self_kernel_real_nonnegative(self):
@@ -98,24 +103,20 @@ class TestEvalKernel:
         for spec in all_variants():
             for _ in range(10):
                 x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-                v = eval_kernel(spec, x, x)
+                v = gram_matrix(spec, VectorSet([x])).matrix[0, 0]
                 assert v.imag == 0.0
                 assert v.real >= 0.0
 
     def test_conjugate_symmetry_all_variants(self):
+        # G[0, 1] is computed, not mirrored, in both orders of the pair.
         rng = np.random.default_rng(12)
         for spec in all_variants():
             for _ in range(25):
                 x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
                 y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-                kxy = eval_kernel(spec, x, y)
-                kyx = eval_kernel(spec, y, x)
+                kxy = pair_gram(spec, x, y)[0, 1]
+                kyx = pair_gram(spec, y, x)[0, 1]
                 assert abs(kxy - np.conj(kyx)) <= 1e-14 * max(1.0, abs(kxy))
-
-    def test_dimension_mismatch(self):
-        for spec in (KernelSpec.homogeneous(2), KernelSpec.gaussian(1.0)):
-            with pytest.raises(DimensionMismatchError):
-                eval_kernel(spec, np.ones(2), np.ones(4))
 
 
 class TestKernelSpecValidation:
@@ -218,7 +219,7 @@ class TestGramMatrix:
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_matches_scalar_oracle(self, field):
-        # Table-based Gram vs eval_kernel entry by entry, norms from 0.1 to 1e3.
+        # Table-based Gram vs the per-pair oracle entry by entry, norms from 0.1 to 1e3.
         rng = np.random.default_rng(25)
         base = random_vectors(rng, 9, 4, field=field, unit=True).vectors
         scales = np.logspace(-1, 3, 9)
@@ -227,7 +228,7 @@ class TestGramMatrix:
             g = gram_matrix(spec, vs).matrix
             for i in range(vs.m):
                 for j in range(vs.m):
-                    k = eval_kernel(spec, vs.vectors[i], vs.vectors[j])
+                    k = pair_kernel(spec, vs.vectors[i], vs.vectors[j])
                     assert abs(g[i, j] - k) <= 1e-12 * max(1.0, abs(k)), (spec, i, j)
             if spec.variant == "gaussian":
                 assert np.all(np.diag(g) == 1.0)

@@ -24,13 +24,7 @@ from welchkit.frames import (
     random_unit_vectors,
     simplex_frame,
 )
-from welchkit.kernels import (
-    GramMatrix,
-    KernelSpec,
-    VectorSet,
-    gram_matrix,
-    inner_product,
-)
+from welchkit.kernels import GramMatrix, KernelSpec, VectorSet, gram_matrix
 from welchkit.linalg import hermitian_eigenvalues, numerical_rank
 
 
@@ -124,7 +118,6 @@ MALFORMED_ARRAYS = [
 # Every public entry point that takes a vector or a matrix, with a valid one.
 ARRAY_ENTRY_POINTS = [
     pytest.param(VectorSet, np.eye(2), id="VectorSet"),
-    pytest.param(lambda y: inner_product(np.ones(2), y), np.ones(2), id="inner_product"),
     pytest.param(hermitian_eigenvalues, np.eye(2), id="hermitian_eigenvalues"),
     pytest.param(lambda a: FeatureMatrix(a, KernelSpec.homogeneous(1)), np.eye(2),
                  id="FeatureMatrix"),
@@ -146,7 +139,6 @@ class TestCheckArray:
         [
             pytest.param(lambda: VectorSet([["1", "2j"]]), id="VectorSet-strings"),
             pytest.param(lambda: VectorSet([[True, False]]), id="VectorSet-bools"),
-            pytest.param(lambda: inner_product(["1"], [True]), id="inner_product-mixed"),
         ],
     )
     def test_strings_and_bools_are_not_numbers(self, call):
