@@ -19,21 +19,7 @@ from .bounds import (
     welch_coherence_bound,
     welch_sum_bound,
 )
-from .errors import (
-    AllZeroVectorsError,
-    CombinatorialOverflowError,
-    InvalidConfigError,
-    InvalidScanError,
-    NoConvergenceError,
-    NotHermitianError,
-    NotPSDError,
-    NotSquareError,
-    NotUnitNormError,
-    NumericalError,
-    TooFewVectorsError,
-    UnsupportedKernelError,
-    WelchKitError,
-)
+from .errors import NumericalError
 from .features import FeatureMatrix, embedding_dim, feature_matrix
 from .frames import (
     OptimizeResult,
@@ -58,7 +44,6 @@ from .linalg import (
     numerical_rank,
 )
 from .rank_scan import (
-    DEFAULT_EPSILON,
     ScanResult,
     rank_scan,
     scan_csv,
@@ -74,29 +59,16 @@ from .serialize import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllZeroVectorsError",
     "BoundReport",
-    "CombinatorialOverflowError",
-    "DEFAULT_EPSILON",
     "EigenSpectrum",
     "FeatureMatrix",
     "GramMatrix",
-    "InvalidConfigError",
-    "InvalidScanError",
     "KernelSpec",
-    "NoConvergenceError",
-    "NotHermitianError",
-    "NotPSDError",
-    "NotSquareError",
-    "NotUnitNormError",
     "NumericalError",
     "OptimizeResult",
     "OptimizerConfig",
     "ScanResult",
-    "TooFewVectorsError",
-    "UnsupportedKernelError",
     "VectorSet",
-    "WelchKitError",
     "canonical_json",
     "clamp_psd",
     "coherence",

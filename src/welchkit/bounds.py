@@ -25,13 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AllZeroVectorsError,
-    NotUnitNormError,
-    NumericalError,
-    TooFewVectorsError,
-    check_int,
-)
+from .errors import NumericalError, check_int
 from .features import embedding_dim
 from .kernels import GramMatrix, KernelSpec, VectorSet, inner_table, power_sum
 
@@ -92,12 +86,12 @@ class BoundReport:
 
 
 def _require_unit_norms(vs: VectorSet) -> np.ndarray:
-    """The norms of vs, each within UNIT_NORM_TOL of 1, else NotUnitNormError."""
+    """The norms of vs, each within UNIT_NORM_TOL of 1, else NumericalError."""
     norms = vs.norms()
     devs = np.abs(norms - 1.0)
     if np.max(devs) > UNIT_NORM_TOL:
         worst = int(np.argmax(devs))
-        raise NotUnitNormError(
+        raise NumericalError(
             f"vector {worst} has norm {norms[worst]:.12g}, outside 1 +/- {UNIT_NORM_TOL:g}"
         )
     return norms
@@ -106,7 +100,7 @@ def _require_unit_norms(vs: VectorSet) -> np.ndarray:
 def coherence(vs: VectorSet) -> float:
     """Largest off-diagonal |<x_i, x_j>|."""
     if vs.m < 2:
-        raise TooFewVectorsError("coherence needs at least two vectors")
+        raise NumericalError("coherence needs at least two vectors")
     return float(np.max(np.triu(np.abs(inner_table(vs.vectors)), 1)))
 
 
@@ -121,7 +115,7 @@ def welch_coherence_bound(m: int, n: int, p: int) -> float:
     n = check_int("n", n, 1)
     spec = KernelSpec.homogeneous(p)
     if m < 2:
-        raise TooFewVectorsError("coherence bound needs m >= 2")
+        raise NumericalError("coherence bound needs m >= 2")
     denom = embedding_dim(spec, n)
     if m - denom <= 0:
         return 0.0
@@ -174,7 +168,7 @@ def gram_rank_report(g: GramMatrix) -> BoundReport:
     so any PSD matrix satisfies it; rank 0 (the zero matrix) gets rhs 0.
     Both sides come from the entries of G, measured once by the eigensolver.
     """
-    r = g.rank()  # spectrum computation raises NotPSDError on indefinite input
+    r = g.rank()  # spectrum computation raises NumericalError on indefinite input
     spectrum = g.spectrum()
     lhs, tr = spectrum.frobenius_sq, spectrum.trace
     rhs = tr * tr / r if r > 0 else 0.0
@@ -201,7 +195,7 @@ def generalized_report(vs: VectorSet, p: int) -> BoundReport:
     spec = KernelSpec.homogeneous(p)
     scale = float(np.max(np.abs(vs.vectors)))
     if scale == 0.0:
-        raise AllZeroVectorsError("ratio undefined: every vector is zero")
+        raise NumericalError("ratio undefined: every vector is zero")
     scaled = VectorSet(vs.vectors / scale)
     tr = float(np.sum(scaled.norms() ** (2 * spec.p)))
     lhs = power_sum(inner_table(scaled.vectors), spec.p) / tr**2

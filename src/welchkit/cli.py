@@ -11,8 +11,9 @@ Subcommands:
 Exit codes are a stable scripting contract: 0 success (and the inequality
 holds), 1 inequality violated, 2 argument or configuration error (a size
 too large to allocate included), 3 I/O failure, 4 numerical failure
-(non-PSD input, non-unit norms, overflow or NaN, ...).  Each welchkit error
-class carries its code as exit_code.
+(non-PSD input, non-unit norms, overflow or NaN, ...).  main maps an
+exception to its code by kind alone: ValueError and MemoryError 2, OSError 3,
+ArithmeticError (NumericalError and numpy's floating-point errors) 4.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .bounds import (
     shifted_report,
     shifted_unit_report,
 )
-from .errors import InvalidConfigError, NumericalError, WelchKitError, check_object
+from .errors import NumericalError, check_object
 from .features import feature_matrix
 from .frames import (
     OptimizerConfig,
@@ -67,12 +68,10 @@ def _kernel(variant, p=None, c=None, gamma=None) -> KernelSpec:
 
 def _scan_kernel(entry) -> KernelSpec:
     """KernelSpec from one rank-scan kernel entry: only the keys given, none null."""
-    check_object(
-        "kernel entry", entry, (), ("variant", "p", "c", "gamma"), InvalidConfigError
-    )
+    check_object("kernel entry", entry, (), ("variant", "p", "c", "gamma"))
     for key, value in entry.items():
         if value is None:
-            raise InvalidConfigError(f"kernel entry {key!r} must not be null; omit it")
+            raise ValueError(f"kernel entry {key!r} must not be null; omit it")
     return _kernel(**{"variant": None, **entry})
 
 
@@ -80,14 +79,14 @@ def _check_out_path(name: str, path):
     """An output path is a non-empty string, with no NUL, that encodes as a file
     name and names a file, not a directory, in an existing directory."""
     if not isinstance(path, str):
-        raise InvalidConfigError(f"{name} must be a path string")
+        raise ValueError(f"{name} must be a path string")
     if path == "":
-        raise InvalidConfigError(f"{name} must be a non-empty path string")
+        raise ValueError(f"{name} must be a non-empty path string")
     try:
         if b"\0" in os.fsencode(path):
-            raise InvalidConfigError(f"{name} {path!r} holds a NUL character")
+            raise ValueError(f"{name} {path!r} holds a NUL character")
     except UnicodeEncodeError:
-        raise InvalidConfigError(f"{name} {path!r} cannot be encoded as a file name")
+        raise ValueError(f"{name} {path!r} cannot be encoded as a file name")
     if os.path.isdir(path):
         raise IsADirectoryError(f"{name} {path!r} is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):
@@ -95,17 +94,16 @@ def _check_out_path(name: str, path):
 
 
 def cmd_gen(args) -> int:
-    if args.n is None or (args.kind == "random" and args.m is None):
-        needs = "--m and --n" if args.kind == "random" else "--n"
-        raise InvalidConfigError(f"gen {args.kind} needs {needs}")
     if args.kind == "random":
+        if args.m is None:
+            raise ValueError("gen random needs --m")
         # field and seed only when given: random_unit_vectors states their defaults.
         given = {k: getattr(args, k) for k in ("field", "seed") if getattr(args, k) is not None}
         vs = random_unit_vectors(args.m, args.n, **given)
     else:
         for flag in ("m", "field", "seed"):
             if getattr(args, flag) is not None:
-                raise InvalidConfigError(f"--{flag} does not apply to gen {args.kind}")
+                raise ValueError(f"--{flag} does not apply to gen {args.kind}")
         vs = simplex_frame(args.n) if args.kind == "simplex" else orthonormal_frame(args.n)
     write_vector_set(args.out, vs)
     tail = f" coherence={format_float(coherence(vs))}" if vs.m >= 2 else ""
@@ -136,9 +134,9 @@ def cmd_check(args) -> int:
     report_of, reads = _CHECKS[ineq]
     for flag in ("kernel", "gamma", "c"):
         if getattr(args, flag) is not None and flag not in reads:
-            raise InvalidConfigError(f"--{flag} does not apply to {ineq}")
+            raise ValueError(f"--{flag} does not apply to {ineq}")
     if args.p is None and ineq != "gram-rank":
-        raise InvalidConfigError(f"--p is required for {ineq}")
+        raise ValueError(f"--p is required for {ineq}")
     report = report_of(vs, args)
     text = canonical_json(report.to_dict())
     if args.out is not None:
@@ -175,13 +173,15 @@ def _load_scan_config(path: str) -> dict:
         doc,
         ("kernels", "n", "m", "trials", "seed"),
         ("epsilon", "csv_out", "json_out"),
-        InvalidConfigError,
     )
-    for key in ("csv_out", "json_out"):  # before the scan runs, not when it is written
-        if doc.get(key) is not None:
-            _check_out_path(key, doc[key])
+    outs = {key: doc[key] for key in ("csv_out", "json_out") if doc.get(key) is not None}
+    for key, out in outs.items():  # before the scan runs, not when it is written
+        _check_out_path(key, out)
+    if len(set(map(os.path.realpath, outs.values()))) < len(outs):
+        csv_out, json_out = outs["csv_out"], outs["json_out"]
+        raise ValueError(f"csv_out {csv_out!r} and json_out {json_out!r} name the same file")
     if not isinstance(doc["kernels"], list):
-        raise InvalidConfigError("'kernels' must be a list")
+        raise ValueError("'kernels' must be a list")
     return doc
 
 
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, help="PRNG seed (random only)")
     gen.add_argument("--out", required=True, help="output file path")
     gen.add_argument("--m", type=int, help="number of vectors (random only)")
-    gen.add_argument("--n", type=int, help="ambient dimension")
+    gen.add_argument("--n", type=int, required=True, help="ambient dimension")
     gen.add_argument("--field", choices=("real", "complex"),
                      help="scalar field (random only)")
 
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     embed = sub.add_parser("embed-check", help="verify the explicit feature map")
     embed.add_argument("--in", dest="infile", required=True, help="vector-set file")
-    embed.add_argument("--p", type=int, help="kernel degree")
+    embed.add_argument("--p", type=int, required=True, help="kernel degree")
     embed.add_argument("--c", type=float, help="shift; selects the shifted kernel")
 
     return parser
@@ -286,11 +286,10 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             # By name per call: the cached parser must not pin a cmd_* object.
             return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (WelchKitError, ValueError, MemoryError, OSError, ArithmeticError) as exc:
+    except (ValueError, MemoryError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # First match wins; ValueError before OSError: io.UnsupportedOperation is both.
-        return (exc.exit_code if isinstance(exc, WelchKitError)
-                else 2 if isinstance(exc, (ValueError, MemoryError))
+        return (2 if isinstance(exc, (ValueError, MemoryError))
                 else 3 if isinstance(exc, OSError) else 4)
 
 

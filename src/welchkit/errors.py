@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the parameter checks.
+"""The package's one exception class, and the parameter checks.
 
 ``check_int`` and ``check_real`` are the one place that decides what counts
 as an integer or a real parameter: any ``numbers.Integral`` or
@@ -7,7 +7,8 @@ INT64_MAX unless the caller sets another bound) or a finite ``float``.
 ``check_array`` is the same for vectors and matrices: a numeric (not bool)
 array, returned as complex128, with the expected number of axes, none
 empty, every entry finite.  ``check_object`` is the same for JSON objects:
-a dict with no unknown key and every required key.
+a dict with no unknown key and every required key.  A failed check raises
+ValueError with a message that names the parameter.
 """
 
 import math
@@ -19,61 +20,13 @@ import numpy as np
 INT64_MAX, SEED_MAX = 2**63 - 1, 2**64 - 1
 
 
-class WelchKitError(Exception):
-    """Base class for all welchkit errors; exit_code is the `welch` exit status."""
-    exit_code = 4
-
-
-class NotSquareError(WelchKitError):
-    """Operation requires a square matrix."""
-
-
-class NotHermitianError(WelchKitError):
-    """Matrix deviates from its conjugate transpose beyond tolerance."""
-
-
-class NoConvergenceError(WelchKitError):
-    """Eigensolver hit its iteration cap, or a post-hoc spectral identity failed."""
-
-
-class NotPSDError(WelchKitError):
-    """Matrix claimed positive semidefinite has an eigenvalue below -tol."""
-
-
-class TooFewVectorsError(WelchKitError):
-    """Coherence-type quantities need at least two vectors."""
-
-
-class NotUnitNormError(WelchKitError):
-    """Operation assumes unit-norm vectors and the input is not."""
-
-
-class AllZeroVectorsError(WelchKitError):
-    """Normalized ratio is undefined when every vector is zero."""
-
-
-class UnsupportedKernelError(WelchKitError):
-    """Requested operation is only defined for polynomial kernels."""
-    exit_code = 2
-
-
-class CombinatorialOverflowError(WelchKitError):
-    """Binomial coefficient or monomial basis exceeds the configured cap."""
-    exit_code = 2
-
-
-class InvalidConfigError(WelchKitError):
-    """Optimizer or run configuration fails validation."""
-    exit_code = 2
-
-
-class InvalidScanError(WelchKitError):
-    """Rank scan parameters cannot exercise the dimension ceilings."""
-    exit_code = 2
-
-
-class NumericalError(WelchKitError):
-    """A computed value is non-finite or breaks a proven bound."""
+class NumericalError(ArithmeticError):
+    """A number the mathematics cannot take: a computed value that is
+    non-finite or breaks a proven bound, non-unit norms where unit norms are
+    assumed, fewer than two vectors for a coherence, a ratio over all-zero
+    vectors, a non-square, non-Hermitian or indefinite matrix for the
+    eigensolver, or an eigensolve that fails or breaks a trace identity.
+    Every other fault in an argument or input is a ValueError."""
 
 
 def _shown(value) -> str:
@@ -81,46 +34,44 @@ def _shown(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
-def check_int(name, value, lo, hi=INT64_MAX, error=ValueError) -> int:
+def check_int(name, value, lo, hi=INT64_MAX) -> int:
     """value as an int, if it is an integer (not a bool) in [lo, hi]."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{name} must be an integer, got {_shown(value)}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     value = int(value)
     if not lo <= value <= hi:
-        raise error(f"{name} must be an integer in [{lo}, {hi}], got {_shown(value)}")
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {_shown(value)}")
     return value
 
 
-def check_real(
-    name, value, lo, hi=math.inf, *, exclusive=False, error=ValueError
-) -> float:
+def check_real(name, value, lo, hi=math.inf, *, exclusive=False) -> float:
     """value as a finite float, if it is a real number (not a bool) in [lo, hi],
     or in (lo, hi) when exclusive."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{name} must be a real number, got {_shown(value)}")
+        raise ValueError(f"{name} must be a real number, got {_shown(value)}")
     try:
         number = float(value)
     except OverflowError:  # an int or a Fraction beyond float range
         number = math.inf
     if not math.isfinite(number):
-        raise error(f"{name} must be finite and within float range, got {_shown(value)}")
+        raise ValueError(f"{name} must be finite and within float range, got {_shown(value)}")
     if not (lo < number < hi if exclusive else lo <= number <= hi):
         ends = "()" if exclusive else "[]"
-        raise error(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {number!r}")
+        raise ValueError(f"{name} must lie in {ends[0]}{lo:g}, {hi:g}{ends[1]}, got {number!r}")
     return number
 
 
-def check_object(name, doc, required, optional=(), error=ValueError):
-    """Raise error unless doc is a dict whose keys are all in required or
+def check_object(name, doc, required, optional=()):
+    """Raise ValueError unless doc is a dict whose keys are all in required or
     optional and include every key of required."""
     if not isinstance(doc, dict):
-        raise error(f"{name} must be a JSON object")
+        raise ValueError(f"{name} must be a JSON object")
     unknown = set(doc).difference(required, optional)
     if unknown:
-        raise error(f"unknown keys in {name}: {sorted(unknown)}")
+        raise ValueError(f"unknown keys in {name}: {sorted(unknown)}")
     for key in required:
         if key not in doc:
-            raise error(f"{name} missing {key!r}")
+            raise ValueError(f"{name} missing {key!r}")
 
 
 def check_array(name, value, ndim) -> np.ndarray:

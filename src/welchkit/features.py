@@ -26,13 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    INT64_MAX,
-    CombinatorialOverflowError,
-    UnsupportedKernelError,
-    check_array,
-    check_int,
-)
+from .errors import INT64_MAX, check_array, check_int
 from .kernels import KernelSpec, VectorSet, inner_table
 
 # Ceiling on monomial basis length.
@@ -46,7 +40,7 @@ def binomial(a: int, b: int) -> int:
     # C(a, k) >= 2^k for k = min(b, a - b): past the cap without computing it.
     value = math.comb(a, b) if min(b, a - b) < 63 else INT64_MAX + 1
     if value > INT64_MAX:
-        raise CombinatorialOverflowError(f"C({a}, {b}) exceeds the 64-bit cap")
+        raise ValueError(f"C({a}, {b}) exceeds the 64-bit cap")
     return value
 
 
@@ -68,7 +62,7 @@ def embedding_dim(spec: KernelSpec, n: int) -> int:
         return binomial(n + spec.p - 1, spec.p)
     if spec.variant == "shifted":
         return binomial(n + spec.p, spec.p)
-    raise UnsupportedKernelError(
+    raise ValueError(
         f"{spec.describe()} has no finite-dimensional exact feature map"
     )
 
@@ -84,7 +78,7 @@ def _embed_rows(rows: np.ndarray, p: int) -> np.ndarray:
     try:
         w = np.array([math.sqrt(multinomial(p, Counter(f).values())) for f in factors])
     except OverflowError as exc:
-        raise CombinatorialOverflowError(
+        raise ValueError(
             f"multinomial weights for degree {p} overflow a float"
         ) from exc
     return w * np.prod(rows[:, np.array(factors)], axis=2)
@@ -123,7 +117,7 @@ def feature_matrix(spec: KernelSpec, vs: VectorSet) -> FeatureMatrix:
     if spec.variant == "shifted":
         rows = np.concatenate([rows, np.full((vs.m, 1), math.sqrt(spec.c))], axis=1)
     if size > BASIS_CAP:  # before allocating the basis
-        raise CombinatorialOverflowError(
+        raise ValueError(
             f"monomial basis for n={rows.shape[1]}, p={spec.p} has {size} elements, "
             f"cap is {BASIS_CAP}"
         )

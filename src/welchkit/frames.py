@@ -23,9 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import welch_sum_bound
-from .errors import (
-    INT64_MAX, SEED_MAX, InvalidConfigError, NumericalError, check_int, check_real
-)
+from .errors import INT64_MAX, SEED_MAX, NumericalError, check_int, check_real
 from .kernels import VectorSet, inner_table, power_sum
 
 # Scale of the steepest-descent direction when no curvature pair is held.
@@ -60,11 +58,9 @@ class OptimizerConfig:
             ("p", 1, INT64_MAX), ("max_iters", 1, INT64_MAX),
             ("restarts", 1, INT64_MAX), ("seed", 0, SEED_MAX),
         ):
-            value = check_int(name, getattr(self, name), lo, hi, InvalidConfigError)
+            value = check_int(name, getattr(self, name), lo, hi)
             object.__setattr__(self, name, value)
-        grad_tol = check_real(
-            "grad_tol", self.grad_tol, 0, exclusive=True, error=InvalidConfigError
-        )
+        grad_tol = check_real("grad_tol", self.grad_tol, 0, exclusive=True)
         object.__setattr__(self, "grad_tol", grad_tol)
 
 
@@ -256,8 +252,8 @@ def minimize_frame_potential(m: int, n: int, cfg: OptimizerConfig) -> OptimizeRe
     Restart streams are spawned from the master seed; the restart with the
     smallest final potential wins, ties going to the lowest restart index.
     """
-    n = check_int("n", n, 1, error=InvalidConfigError)
-    m = check_int("m", m, n, error=InvalidConfigError)
+    n = check_int("n", n, 1)
+    m = check_int("m", m, n)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     size = max(1, min(_BLOCK, _BLOCK_ENTRIES // (m * m)))
     blocks = ([random_unit_vectors(m, n, seed=c).vectors for c in children[lo:lo + size]]

@@ -15,14 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    NoConvergenceError,
-    NotHermitianError,
-    NotPSDError,
-    NotSquareError,
-    check_array,
-    check_real,
-)
+from .errors import NumericalError, check_array, check_real
 
 # Relative tolerance for the runtime spectral identity checks.
 TRACE_IDENTITY_RTOL = 1e-9
@@ -74,19 +67,19 @@ def _close_rel(a: float, b: float, rtol: float) -> bool:
 def hermitian_eigenvalues(m) -> EigenSpectrum:
     """Eigenvalues of a Hermitian matrix by LAPACK ``eigvalsh``.
 
-    Returns the spectrum sorted descending.  Raises NotSquareError or
-    NotHermitianError on bad input and NoConvergenceError if LAPACK fails or
-    the trace identities fail afterwards.
+    Returns the spectrum sorted descending.  Raises NumericalError on a
+    non-square or non-Hermitian input, if LAPACK fails, or if the trace
+    identities fail afterwards.
     """
     a = check_array("matrix", m, 2)
     if a.shape[0] != a.shape[1]:
-        raise NotSquareError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
+        raise NumericalError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
 
     scale = max(1.0, float(np.max(np.abs(a))))
     ah = a.conj().T  # one copy for the deviation and the symmetrize
     herm_dev = float(np.max(np.abs(a - ah)))
     if herm_dev > HERM_RTOL * scale:
-        raise NotHermitianError(
+        raise NumericalError(
             f"Hermitian deviation {herm_dev:.3e} exceeds tolerance "
             f"{HERM_RTOL * scale:.3e}"
         )
@@ -97,16 +90,16 @@ def hermitian_eigenvalues(m) -> EigenSpectrum:
     try:
         values = np.linalg.eigvalsh(0.5 * (a + ah))[::-1]
     except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"LAPACK eigvalsh failed: {exc}") from exc
+        raise NumericalError(f"LAPACK eigvalsh failed: {exc}") from exc
 
     sum_vals = float(np.sum(values))
     sum_sq = float(np.sum(values**2))
     if not _close_rel(sum_vals, tr_re, TRACE_IDENTITY_RTOL):
-        raise NoConvergenceError(
+        raise NumericalError(
             f"spectral identity failed: sum of eigenvalues {sum_vals!r} vs trace {tr_re!r}"
         )
     if not _close_rel(sum_sq, fro_sq, TRACE_IDENTITY_RTOL):
-        raise NoConvergenceError(
+        raise NumericalError(
             f"spectral identity failed: sum of squares {sum_sq!r} vs "
             f"squared Frobenius norm {fro_sq!r}"
         )
@@ -117,14 +110,14 @@ def clamp_psd(spectrum: EigenSpectrum) -> EigenSpectrum:
     """Certify a spectrum as PSD, clamping round-off negatives to zero.
 
     Negatives within PSD_RTOL * sigma_max of zero are zeroed (flagged via
-    clamp_applied); anything below that floor raises NotPSDError.
+    clamp_applied); anything below that floor raises NumericalError.
     """
     vals = spectrum.values
     sigma_max = float(vals[0])
     floor = PSD_RTOL * max(sigma_max, 0.0)
     min_val = float(vals[-1])
     if min_val < -floor:
-        raise NotPSDError(
+        raise NumericalError(
             f"eigenvalue {min_val!r} below PSD floor {-floor!r} "
             f"(sigma_max {sigma_max!r})"
         )

@@ -15,16 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SEED_MAX, InvalidScanError, check_int, check_real
+from .errors import SEED_MAX, check_int, check_real
 from .features import embedding_dim
 from .frames import random_unit_vectors
 from .kernels import KernelSpec, gram_matrix
 from .linalg import RANK_RTOL, numerical_rank
 from .serialize import format_float
-
-# An eigenvalue counts toward the epsilon-rank when it exceeds epsilon times
-# the largest one; this is the default epsilon.
-DEFAULT_EPSILON = RANK_RTOL
 
 CSV_HEADER = (
     "kernel", "variant", "p", "c", "gamma",
@@ -71,7 +67,7 @@ def rank_scan(
     m: int,
     trials: int,
     seed: int,
-    epsilon: float = DEFAULT_EPSILON,
+    epsilon: float = RANK_RTOL,
 ) -> ScanResult:
     """Measure Gram ranks for every kernel over shared random trial data.
 
@@ -82,19 +78,17 @@ def rank_scan(
     """
     kernels = tuple(kernel_family)
     if not kernels:
-        raise InvalidScanError("kernel family is empty")
-    n = check_int("n", n, 1, error=InvalidScanError)
-    m = check_int("m", m, 1, error=InvalidScanError)
-    trials = check_int("trials", trials, 1, error=InvalidScanError)
-    seed = check_int("seed", seed, 0, SEED_MAX, InvalidScanError)
+        raise ValueError("kernel family is empty")
+    n = check_int("n", n, 1)
+    m = check_int("m", m, 1)
+    trials = check_int("trials", trials, 1)
+    seed = check_int("seed", seed, 0, SEED_MAX)
     # Below ~1e3 machine epsilons, eigenvalue ratios are eigensolver rounding noise.
-    epsilon = check_real(
-        "epsilon", epsilon, 1e3 * sys.float_info.epsilon, error=InvalidScanError
-    )
+    epsilon = check_real("epsilon", epsilon, 1e3 * sys.float_info.epsilon)
     dims = [embedding_dim(spec, n) if spec.is_polynomial else None for spec in kernels]
     widest = max((d for d in dims if d is not None), default=0)
     if m <= widest:
-        raise InvalidScanError(
+        raise ValueError(
             f"m={m} cannot exercise the widest feature dimension {widest}; "
             f"need m > {widest}"
         )

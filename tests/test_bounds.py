@@ -16,12 +16,7 @@ from welchkit.bounds import (
     welch_coherence_bound,
     welch_sum_bound,
 )
-from welchkit.errors import (
-    AllZeroVectorsError,
-    NotUnitNormError,
-    NumericalError,
-    TooFewVectorsError,
-)
+from welchkit.errors import NumericalError
 from welchkit.features import binomial
 from welchkit.frames import random_unit_vectors
 from welchkit.kernels import KernelSpec, VectorSet, gram_matrix, inner_table, power_sum
@@ -51,7 +46,7 @@ class TestCoherence:
         assert abs(coherence(plane_simplex()) - 0.5) < 1e-15
 
     def test_single_vector_rejected(self):
-        with pytest.raises(TooFewVectorsError):
+        with pytest.raises(NumericalError, match="coherence needs at least two vectors"):
             coherence(VectorSet(vectors=np.eye(1), field="real"))
 
 
@@ -74,7 +69,7 @@ class TestWelchCoherenceBound:
         assert welch_coherence_bound(3, 2, 2) == 0.0
 
     def test_rejects_single_vector(self):
-        with pytest.raises(TooFewVectorsError):
+        with pytest.raises(NumericalError, match="coherence bound needs m >= 2"):
             welch_coherence_bound(1, 2, 1)
 
     def test_rejects_zero_degree(self):
@@ -136,7 +131,7 @@ class TestPowerSumReport:
 
     def test_rejects_non_unit(self):
         vs = VectorSet(vectors=2 * np.eye(2), field="real")
-        with pytest.raises(NotUnitNormError):
+        with pytest.raises(NumericalError, match="vector 0 has norm 2, outside 1"):
             power_sum_report(vs, 1)
 
 
@@ -256,7 +251,7 @@ class TestGeneralizedReport:
 
     def test_all_zero_vectors_rejected(self):
         vs = VectorSet(vectors=np.zeros((3, 2)), field="real")
-        with pytest.raises(AllZeroVectorsError):
+        with pytest.raises(NumericalError, match="every vector is zero"):
             generalized_report(vs, 1)
 
 
@@ -346,7 +341,7 @@ class TestShiftedUnitReport:
 
     def test_rejects_non_unit(self):
         vs = VectorSet(vectors=2 * np.eye(2), field="real")
-        with pytest.raises(NotUnitNormError):
+        with pytest.raises(NumericalError, match="vector 0 has norm 2, outside 1"):
             shifted_unit_report(vs, 1, 0.5)
 
     @pytest.mark.parametrize(
@@ -389,7 +384,7 @@ class TestCoherenceReport:
             assert coherence_report(vs, 1).holds
 
     def test_rejects_non_unit(self):
-        with pytest.raises(NotUnitNormError):
+        with pytest.raises(NumericalError, match="vector 0 has norm 2, outside 1"):
             coherence_report(
                 VectorSet(vectors=2 * np.eye(3), field="real"), 1
             )
@@ -399,7 +394,7 @@ class TestCoherenceReport:
             coherence_report(VectorSet(vectors=2 * np.eye(3), field="real"), 0)
 
     def test_single_vector_fails_in_the_bound(self):
-        with pytest.raises(TooFewVectorsError, match="coherence bound needs m >= 2"):
+        with pytest.raises(NumericalError, match="coherence bound needs m >= 2"):
             coherence_report(orthonormal(1), 1)
 
     def test_numpy_degree_stored_as_int(self):
@@ -529,7 +524,7 @@ class TestBoundReportValidation:
         "lhs, rhs", [(np.nan, 1.0), (np.inf, 1.0), (1.0, -np.inf)]
     )
     def test_non_finite_side_raises(self, lhs, rhs):
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="is not finite"):
             BoundReport("power-sum", lhs, rhs)
 
     def test_to_dict_field_order(self):

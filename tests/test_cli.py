@@ -17,7 +17,7 @@ import welchkit
 from welchkit import cli, errors
 from welchkit.cli import main
 from welchkit.features import FeatureMatrix
-from welchkit.rank_scan import DEFAULT_EPSILON
+from welchkit.linalg import RANK_RTOL
 from welchkit.serialize import format_float, parse_json, read_vector_set
 
 DEEP_JSON = "[" * 10**5 + "]" * 10**5
@@ -639,6 +639,23 @@ class TestRankScan:
         assert err == f"error: {key} {str(tmp_path)!r} is a directory\n"
         assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
+    @pytest.mark.parametrize(
+        "csv_out, json_out", [("out.txt", "out.txt"), ("out.txt", "./out.txt")]
+    )
+    def test_same_output_path_rejected_before_the_scan(
+        self, tmp_path, monkeypatch, capsys, csv_out, json_out
+    ):
+        """The JSON summary would overwrite the CSV."""
+        monkeypatch.chdir(tmp_path)
+        path, _ = self.write_config(tmp_path, csv_out=csv_out, json_out=json_out)
+        path.rename(tmp_path / "scan.json")
+        code, out, err = run(capsys, "rank-scan", "--config", "scan.json")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: csv_out {csv_out!r} and json_out {json_out!r} name the same file\n"
+        )
+        assert os.listdir(tmp_path) == ["scan.json"]
+
     def test_missing_config_file_is_io_error(self, capsys):
         code, _, _ = run(capsys, "rank-scan", "--config", "/nonexistent.json")
         assert code == 3
@@ -676,9 +693,9 @@ class TestRankScan:
         assert code == 0
         rows = (tmp_path / "scan.csv").read_text().splitlines()
         column = rows[0].split(",").index("epsilon")
-        assert {row.split(",")[column] for row in rows[1:]} == {format_float(DEFAULT_EPSILON)}
+        assert {row.split(",")[column] for row in rows[1:]} == {format_float(RANK_RTOL)}
         summary = (tmp_path / "scan.json").read_text()
-        assert f'"epsilon":{format_float(DEFAULT_EPSILON)},' in summary
+        assert f'"epsilon":{format_float(RANK_RTOL)},' in summary
 
     def test_oversized_m_rejected(self, tmp_path, capsys):
         path, _ = self.write_config(tmp_path, m=2)
@@ -826,47 +843,28 @@ class TestParser:
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.json", "set.json"]
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param(("gen", "simplex", "--out", "out.json"), "--n", id="gen-n"),
+            pytest.param(("embed-check", "--in", "set.json"), "--p", id="embed-check-p"),
+        ],
+    )
+    def test_required_flag_named(self, tmp_path, monkeypatch, capsys, argv, flag):
+        """A flag that every form of its command reads is required by the parser."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "set.json").write_text(UNIT_SET)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"the following arguments are required: {flag}" in err
+        assert os.listdir(tmp_path) == ["set.json"]
+
     def test_entry_raises_system_exit(self, monkeypatch, capsys):
         from welchkit.cli import entry
 
         monkeypatch.setattr("sys.argv", ["welch", "--help"])
         with pytest.raises(SystemExit):
             entry()
-
-
-EXIT_CODES = {
-    errors.WelchKitError: 4,
-    errors.NotSquareError: 4,
-    errors.NotHermitianError: 4,
-    errors.NoConvergenceError: 4,
-    errors.NotPSDError: 4,
-    errors.TooFewVectorsError: 4,
-    errors.NotUnitNormError: 4,
-    errors.AllZeroVectorsError: 4,
-    errors.UnsupportedKernelError: 2,
-    errors.CombinatorialOverflowError: 2,
-    errors.InvalidConfigError: 2,
-    errors.InvalidScanError: 2,
-    errors.NumericalError: 4,
-}
-
-
-def test_every_error_class_exits_with_its_code(monkeypatch, capsys):
-    declared = {
-        value for value in vars(errors).values()
-        if isinstance(value, type) and issubclass(value, errors.WelchKitError)
-    }
-    assert declared == set(EXIT_CODES)
-    for cls, code in EXIT_CODES.items():
-        assert cls.exit_code == code
-
-        def fail(args, cls=cls):
-            raise cls("injected")
-
-        monkeypatch.setattr(cli, "cmd_gen", fail)
-        got, _, err = run(capsys, "gen", "simplex", "--n", "2", "--out", os.devnull)
-        assert got == code, cls.__name__
-        assert err == "error: injected\n"
 
 
 @pytest.mark.parametrize(
@@ -885,6 +883,7 @@ def test_every_error_class_exits_with_its_code(monkeypatch, capsys):
         pytest.param(FloatingPointError("injected"), 4, id="FloatingPointError"),
         pytest.param(OverflowError("injected"), 4, id="OverflowError"),
         pytest.param(ZeroDivisionError("injected"), 4, id="ZeroDivisionError"),
+        pytest.param(errors.NumericalError("injected"), 4, id="NumericalError"),
     ],
 )
 def test_every_builtin_error_kind_exits_with_its_code(monkeypatch, capsys, exc, code):

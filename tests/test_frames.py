@@ -10,7 +10,7 @@ import pytest
 from helpers import fd_gradient
 from welchkit import frames
 from welchkit.bounds import coherence, welch_coherence_bound, welch_sum_bound
-from welchkit.errors import InvalidConfigError, NumericalError
+from welchkit.errors import NumericalError
 from welchkit.frames import (
     OptimizeResult,
     OptimizerConfig,
@@ -121,7 +121,8 @@ class TestOptimizerConfig:
             dict(p=1, seed=True),
         ]
         for kwargs in bad:
-            with pytest.raises(InvalidConfigError):
+            name = list(kwargs)[-1]  # the bad value's key, named by the message
+            with pytest.raises(ValueError, match=f"^{name} must "):
                 OptimizerConfig(**kwargs)
 
 
@@ -174,7 +175,7 @@ class TestMinimizeFramePotential:
         assert a.trajectory == b.trajectory
 
     def test_rejects_m_below_n(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ValueError, match=r"m must be an integer in \[3, "):
             minimize_frame_potential(2, 3, OptimizerConfig(p=1))
 
 
@@ -411,7 +412,7 @@ class TestLockstepRestarts:
 class TestOptimizeResultValidation:
     def test_rejects_negative_gap(self):
         vs = orthonormal_frame(2)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="gap below -1e-9"):
             OptimizeResult(
                 vectors=vs,
                 final_potential=1.0,

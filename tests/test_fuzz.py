@@ -4,7 +4,9 @@ A numpy Generator on fixed seeds picks every mutation, so each run checks
 the same few hundred cases.  Through `cli.main` the exit-code contract must
 hold: no exception escapes, the code is 0-4, 1 only with "holds":false, and
 stdout stays empty on every error exit.  Through the public constructors
-and functions, a malformed scalar raises WelchKitError or ValueError only.
+and functions, a malformed scalar raises ValueError or NumericalError only
+(the latter where the value is well formed but the mathematics cannot take
+it, as welch_coherence_bound at m = 1).
 
 Counts (trials, restarts, --max-iters) come from small pools: a huge count
 is a long run, not an error.  Sizes are small or far beyond any memory
@@ -26,7 +28,7 @@ from welchkit.bounds import (
     welch_coherence_bound,
     welch_sum_bound,
 )
-from welchkit.errors import WelchKitError
+from welchkit.errors import NumericalError
 from welchkit.features import binomial
 from welchkit.frames import (
     OptimizerConfig,
@@ -273,7 +275,7 @@ def test_library_scalars_raise_only_documented_errors():
         name, value = cases[i]
         try:
             LIBRARY_CALLS[name](value)
-        except (WelchKitError, ValueError):
+        except (ValueError, NumericalError):
             pass
         except Exception as exc:
             pytest.fail(f"{name}={value!r:.40}: {type(exc).__name__}: {exc}")

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import random_vectors
-from welchkit.errors import InvalidScanError, UnsupportedKernelError
 from welchkit.features import embedding_dim
 from welchkit.kernels import KernelSpec, VectorSet, gram_matrix
-from welchkit.linalg import numerical_rank
+from welchkit.linalg import RANK_RTOL, numerical_rank
 from welchkit.rank_scan import (
     CSV_HEADER,
-    DEFAULT_EPSILON,
     rank_scan,
     scan_csv,
     scan_summary_dict,
@@ -36,7 +34,7 @@ class TestEpsilonRankProfile:
         v = np.array([1.0, 0.0])
         vs = VectorSet(vectors=np.stack([v] * 6), field="real")
         g = gram_matrix(KernelSpec.homogeneous(1), vs)
-        assert ranks(g, (DEFAULT_EPSILON,)) == [1]
+        assert ranks(g, (RANK_RTOL,)) == [1]
 
     def test_gaussian_profile_monotone(self):
         rng = np.random.default_rng(91)
@@ -45,7 +43,7 @@ class TestEpsilonRankProfile:
         got = ranks(g, (1e-2, 1e-4, 1e-8))
         assert got[0] <= got[1] <= got[2]
         assert g.spectrum().values.shape == (30,)
-        with pytest.raises(UnsupportedKernelError):
+        with pytest.raises(ValueError, match="no finite-dimensional exact feature map"):
             embedding_dim(g.kernel, 2)
 
     def test_polynomial_ceiling_metadata(self):
@@ -53,7 +51,7 @@ class TestEpsilonRankProfile:
         vs = random_vectors(rng, 8, 3)
         g = gram_matrix(KernelSpec.homogeneous(2), vs)
         assert embedding_dim(g.kernel, 3) == 6
-        assert ranks(g, (DEFAULT_EPSILON,)) == [6]
+        assert ranks(g, (RANK_RTOL,)) == [6]
 
     def test_rejects_bad_thresholds(self):
         spectrum = identity_gram(2).spectrum()
@@ -74,7 +72,7 @@ class TestPolynomialCeiling:
             spec, n, dim = cases[trial % len(cases)]
             vs = random_vectors(rng, dim + 5, n)
             assert embedding_dim(spec, n) == dim
-            assert ranks(gram_matrix(spec, vs), (DEFAULT_EPSILON,)) == [dim]
+            assert ranks(gram_matrix(spec, vs), (RANK_RTOL,)) == [dim]
 
 
 class TestRankScan:
@@ -110,19 +108,19 @@ class TestRankScan:
         assert scan_summary_dict(a) == scan_summary_dict(b)
 
     def test_rejects_m_that_cannot_bind_ceiling(self):
-        with pytest.raises(InvalidScanError):
+        with pytest.raises(ValueError, match="widest feature dimension 4; need m > 4"):
             rank_scan([KernelSpec.homogeneous(3)], n=2, m=4, trials=2, seed=0)
 
     def test_rejects_degenerate_parameters(self):
-        with pytest.raises(InvalidScanError):
+        with pytest.raises(ValueError, match="kernel family is empty"):
             rank_scan([], n=2, m=8, trials=2, seed=0)
-        with pytest.raises(InvalidScanError):
+        with pytest.raises(ValueError, match="trials must be an integer in"):
             rank_scan([KernelSpec.homogeneous(1)], n=2, m=8, trials=0, seed=0)
-        with pytest.raises(InvalidScanError):
+        with pytest.raises(ValueError, match="epsilon must lie in"):
             rank_scan([KernelSpec.homogeneous(1)], n=2, m=8, trials=2, seed=0, epsilon=0.0)
-        with pytest.raises(InvalidScanError):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
             rank_scan([KernelSpec.homogeneous(1)], n=2, m=8, trials=2, seed=0, epsilon=np.inf)
-        with pytest.raises(InvalidScanError):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
             rank_scan([KernelSpec.homogeneous(1)], n=2, m=8, trials=2, seed=0, epsilon=10**400)
 
 
@@ -139,7 +137,7 @@ class TestScanSerialization:
         assert first[2] == "1"
         assert first[3] == "" and first[4] == ""
         assert first[5] == "0"
-        assert first[6] == format_float(DEFAULT_EPSILON)
+        assert first[6] == format_float(RANK_RTOL)
         assert first[7] == "2"
         assert first[8] == "2"
 
@@ -153,7 +151,7 @@ class TestScanSerialization:
         )
         doc = scan_summary_dict(result)
         assert doc["n"] == 2 and doc["m"] == 8 and doc["trials"] == 3
-        assert doc["seed"] == 6 and doc["epsilon"] == DEFAULT_EPSILON
+        assert doc["seed"] == 6 and doc["epsilon"] == RANK_RTOL
         assert [k["variant"] for k in doc["kernels"]] == ["shifted", "gaussian"]
         assert doc["kernels"][0]["theoretical_dim"] == 3
         assert doc["kernels"][1]["saturated"] is None
