@@ -37,12 +37,7 @@ from .kernels import (
     inner_table,
     power_sum,
 )
-from .linalg import (
-    EigenSpectrum,
-    clamp_psd,
-    hermitian_eigenvalues,
-    numerical_rank,
-)
+from .linalg import EigenSpectrum, numerical_rank
 from .rank_scan import (
     ScanResult,
     rank_scan,
@@ -70,7 +65,6 @@ __all__ = [
     "ScanResult",
     "VectorSet",
     "canonical_json",
-    "clamp_psd",
     "coherence",
     "coherence_report",
     "embedding_dim",
@@ -79,7 +73,6 @@ __all__ = [
     "generalized_report",
     "gram_matrix",
     "gram_rank_report",
-    "hermitian_eigenvalues",
     "inner_table",
     "minimize_frame_potential",
     "numerical_rank",

@@ -24,9 +24,9 @@ class NumericalError(ArithmeticError):
     """A number the mathematics cannot take: a computed value that is
     non-finite or breaks a proven bound, non-unit norms where unit norms are
     assumed, fewer than two vectors for a coherence, a ratio over all-zero
-    vectors, a non-square, non-Hermitian or indefinite matrix for the
-    eigensolver, or an eigensolve that fails or breaks a trace identity.
-    Every other fault in an argument or input is a ValueError."""
+    vectors, a Gram with a genuinely negative eigenvalue, or an eigensolve
+    that fails or breaks a trace identity.  Every other fault in an argument
+    or input is a ValueError, a non-square or non-Hermitian Gram included."""
 
 
 def _shown(value) -> str:

@@ -129,11 +129,13 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Kernel table G[i, j] = k(x_i, x_j), exactly Hermitian by construction.
+    """Kernel table G[i, j] = k(x_i, x_j).
 
-    The eigenvalue spectrum is computed lazily on first use and certified PSD
-    (small negatives clamped, genuine ones rejected); repeated calls reuse the
-    cached result.
+    The one check on a Gram: a finite, square, exactly Hermitian matrix
+    (G == G^H bit for bit, so its diagonal is real) with a non-negative
+    diagonal, else ValueError; the eigensolve relies on it.  The spectrum is
+    computed lazily on first use and certified PSD (small negatives clamped,
+    genuine ones rejected); repeated calls reuse the cached result.
     """
 
     matrix: np.ndarray
@@ -143,8 +145,10 @@ class GramMatrix:
         a = np.array(check_array("Gram matrix", self.matrix, 2))
         if a.shape[0] != a.shape[1]:
             raise ValueError("Gram matrix must be square")
-        if np.any(a.diagonal().imag != 0.0) or np.any(a.diagonal().real < 0.0):
-            raise ValueError("Gram diagonal must be real and non-negative")
+        if not np.array_equal(a, a.conj().T):
+            raise ValueError("Gram matrix must be exactly Hermitian")
+        if np.any(a.diagonal().real < 0.0):
+            raise ValueError("Gram diagonal must be non-negative")
         a.flags.writeable = False
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "_spectrum_cache", None)

@@ -1,11 +1,11 @@
 """Dense complex linear algebra primitives: Hermitian eigenvalues, numerical
 rank, PSD certification.
 
-Matrices are plain ``numpy.ndarray`` objects, validated and promoted to
-complex128 by ``errors.check_array``.  The eigensolver is LAPACK ``eigvalsh``
-on the exactly Hermitian part of the input.  Every returned spectrum carries
-the source matrix's Re tr(M) and ||M||_F^2, and is checked at runtime against
-the two trace identities sum(sigma_i) = Re tr(M) and
+The eigensolver takes a matrix that ``kernels.GramMatrix`` has already
+checked (complex128, square, finite, exactly Hermitian) and does not check it
+again: it is LAPACK ``eigvalsh`` on the matrix as given.  Every returned
+spectrum carries the source matrix's Re tr(M) and ||M||_F^2, and is checked
+at runtime against the two trace identities sum(sigma_i) = Re tr(M) and
 sum(sigma_i^2) = ||M||_F^2.
 """
 
@@ -15,16 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalError, check_array, check_real
+from .errors import NumericalError, check_real
 
 # Relative tolerance for the runtime spectral identity checks.
 TRACE_IDENTITY_RTOL = 1e-9
 
 # PSD certification floor, relative to the largest eigenvalue.
 PSD_RTOL = 1e-9
-
-# Hermitian deviation allowed on input, relative to max(1, |M|_max).
-HERM_RTOL = 1e-10
 
 # Default relative threshold for numerical rank.
 RANK_RTOL = 1e-8
@@ -64,31 +61,17 @@ def _close_rel(a: float, b: float, rtol: float) -> bool:
     return abs(a - b) <= rtol * max(1.0, abs(b))
 
 
-def hermitian_eigenvalues(m) -> EigenSpectrum:
-    """Eigenvalues of a Hermitian matrix by LAPACK ``eigvalsh``.
+def hermitian_eigenvalues(a: np.ndarray) -> EigenSpectrum:
+    """Eigenvalues of an exactly Hermitian complex128 matrix by LAPACK ``eigvalsh``.
 
-    Returns the spectrum sorted descending.  Raises NumericalError on a
-    non-square or non-Hermitian input, if LAPACK fails, or if the trace
-    identities fail afterwards.
+    The argument is not checked: it is a ``GramMatrix``'s matrix.  Returns the
+    spectrum sorted descending.  Raises NumericalError if LAPACK fails or the
+    trace identities fail afterwards.
     """
-    a = check_array("matrix", m, 2)
-    if a.shape[0] != a.shape[1]:
-        raise NumericalError(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-
-    scale = max(1.0, float(np.max(np.abs(a))))
-    ah = a.conj().T  # one copy for the deviation and the symmetrize
-    herm_dev = float(np.max(np.abs(a - ah)))
-    if herm_dev > HERM_RTOL * scale:
-        raise NumericalError(
-            f"Hermitian deviation {herm_dev:.3e} exceeds tolerance "
-            f"{HERM_RTOL * scale:.3e}"
-        )
-
     tr_re = float(np.trace(a).real)
     fro_sq = float(np.sum(a.real**2 + a.imag**2))
-
     try:
-        values = np.linalg.eigvalsh(0.5 * (a + ah))[::-1]
+        values = np.linalg.eigvalsh(a)[::-1]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"LAPACK eigvalsh failed: {exc}") from exc
 

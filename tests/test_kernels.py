@@ -240,6 +240,50 @@ class TestGramMatrix:
             g = gram_matrix(spec, vs).matrix
             assert np.array_equal(g, g.conj().T)
 
+    @pytest.mark.parametrize(
+        "spec, m, n",
+        [
+            # m=500 n=8: the inner table is one blocked zgemm.
+            pytest.param(KernelSpec.homogeneous(2), 500, 8, id="homogeneous-500x8"),
+            pytest.param(KernelSpec.shifted(3, 0.5), 60, 4, id="shifted-60x4"),
+            # 13 rows per block of _GAUSSIAN_BLOCK entries: eight row blocks.
+            pytest.param(KernelSpec.gaussian(0.5), 100, 3, id="gaussian-100x3"),
+        ],
+    )
+    def test_gram_is_exactly_hermitian(self, spec, m, n):
+        # GramMatrix rejects anything else, so the eigensolve can take G as it is.
+        vs = random_vectors(np.random.default_rng(m + n), m, n)
+        g = gram_matrix(spec, vs)
+        assert np.array_equal(g.matrix, g.matrix.conj().T)
+
+    @pytest.mark.parametrize(
+        "spec, m, n",
+        [
+            pytest.param(KernelSpec.homogeneous(1), 6, 8, id="homogeneous"),
+            pytest.param(KernelSpec.shifted(2, 1.0), 10, 4, id="shifted"),
+            pytest.param(KernelSpec.gaussian(0.5), 40, 3, id="gaussian"),
+        ],
+    )
+    def test_spectrum_is_bare_eigvalsh(self, spec, m, n):
+        vs = random_vectors(np.random.default_rng(m), m, n)
+        g = gram_matrix(spec, vs)
+        spectrum = g.spectrum()
+        assert not spectrum.clamp_applied
+        assert spectrum.values.tobytes() == np.linalg.eigvalsh(g.matrix)[::-1].tobytes()
+
+    def test_rejects_one_ulp_asymmetry(self):
+        g = gram_matrix(KernelSpec.homogeneous(1), random_vectors(np.random.default_rng(4), 5, 3))
+        a = np.array(g.matrix)
+        a[3, 1] = complex(np.nextafter(a[3, 1].real, np.inf), a[3, 1].imag)
+        with pytest.raises(ValueError, match="Gram matrix must be exactly Hermitian"):
+            GramMatrix(a, g.kernel)
+
+    def test_rejects_tiny_imaginary_diagonal(self):
+        a = np.eye(3, dtype=np.complex128)
+        a[2, 2] += 1e-300j
+        with pytest.raises(ValueError, match="Gram matrix must be exactly Hermitian"):
+            GramMatrix(a, KernelSpec.homogeneous(1))
+
     def test_unitary_invariance(self):
         rng = np.random.default_rng(22)
         vs = random_vectors(rng, 6, 4)

@@ -1,13 +1,15 @@
 """The one validation boundary: errors.check_int and errors.check_real for
 scalars, errors.check_array for vectors and matrices."""
 
+import importlib
 import math
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from welchkit import linalg
+import welchkit
 from welchkit.bounds import gram_rank_report, welch_coherence_bound, welch_sum_bound
 from welchkit.errors import INT64_MAX, check_array, check_int, check_real
 from welchkit.features import FeatureMatrix, binomial
@@ -19,7 +21,7 @@ from welchkit.frames import (
     simplex_frame,
 )
 from welchkit.kernels import GramMatrix, KernelSpec, VectorSet, gram_matrix
-from welchkit.linalg import hermitian_eigenvalues, numerical_rank
+from welchkit.linalg import numerical_rank
 
 
 class TestCheckInt:
@@ -106,9 +108,11 @@ MALFORMED_ARRAYS = [
 ]
 
 # Every public entry point that takes a vector or a matrix, with a valid one.
+# The eigensolve takes only a checked Gram: its public route is GramMatrix.spectrum.
 ARRAY_ENTRY_POINTS = [
     pytest.param(VectorSet, np.eye(2), id="VectorSet"),
-    pytest.param(hermitian_eigenvalues, np.eye(2), id="hermitian_eigenvalues"),
+    pytest.param(lambda a: GramMatrix(a, KernelSpec.homogeneous(1)).spectrum(), np.eye(2),
+                 id="hermitian_eigenvalues"),
     pytest.param(lambda a: FeatureMatrix(a, KernelSpec.homogeneous(1)), np.eye(2),
                  id="FeatureMatrix"),
     pytest.param(lambda a: GramMatrix(a, KernelSpec.homogeneous(1)), np.eye(2),
@@ -151,6 +155,8 @@ class TestCheckArray:
 
 
 def test_gram_rank_report_validates_its_gram_once(monkeypatch):
+    # Every check_array call, in any module, from GramMatrix(...) through the
+    # report: the constructor's, and no second one in the eigensolve.
     calls = []
 
     def counting(name, value, ndim):
@@ -158,9 +164,12 @@ def test_gram_rank_report_validates_its_gram_once(monkeypatch):
         return check_array(name, value, ndim)
 
     g = gram_matrix(KernelSpec.homogeneous(2), random_unit_vectors(64, 4, seed=1))
-    monkeypatch.setattr(linalg, "check_array", counting)
-    gram_rank_report(g)
-    assert calls == ["matrix"]
+    for info in pkgutil.iter_modules(welchkit.__path__):
+        module = importlib.import_module(f"welchkit.{info.name}")
+        if hasattr(module, "check_array"):
+            monkeypatch.setattr(module, "check_array", counting)
+    gram_rank_report(GramMatrix(g.matrix, g.kernel))
+    assert calls == ["Gram matrix"]
 
 
 CFG = OptimizerConfig(p=1, max_iters=5, restarts=1)
