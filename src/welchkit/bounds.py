@@ -28,6 +28,7 @@ import numpy as np
 from .errors import NumericalError, check_int
 from .features import embedding_dim
 from .kernels import GramMatrix, KernelSpec, VectorSet, inner_table, power_sum
+from .linalg import numerical_rank
 
 # A bound "holds" when slack >= -CHECK_TOL * max(1, |rhs|).
 CHECK_TOL = 1e-9
@@ -168,8 +169,8 @@ def gram_rank_report(g: GramMatrix) -> BoundReport:
     so any PSD matrix satisfies it; rank 0 (the zero matrix) gets rhs 0.
     Both sides come from the entries of G, measured once by the eigensolver.
     """
-    r = g.rank()  # spectrum computation raises NumericalError on indefinite input
-    spectrum = g.spectrum()
+    spectrum = g.spectrum()  # raises NumericalError on indefinite input
+    r = numerical_rank(spectrum)
     lhs, tr = spectrum.frobenius_sq, spectrum.trace
     rhs = tr * tr / r if r > 0 else 0.0
     kernel = g.kernel

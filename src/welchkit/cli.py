@@ -44,6 +44,7 @@ from .frames import (
     simplex_frame,
 )
 from .kernels import KernelSpec, gram_matrix
+from .linalg import numerical_rank
 from .rank_scan import rank_scan, scan_csv, scan_summary_dict
 from .serialize import (
     atomic_write,
@@ -105,8 +106,8 @@ def cmd_gen(args) -> int:
             if getattr(args, flag) is not None:
                 raise ValueError(f"--{flag} does not apply to gen {args.kind}")
         vs = simplex_frame(args.n) if args.kind == "simplex" else orthonormal_frame(args.n)
-    write_vector_set(args.out, vs)
     tail = f" coherence={format_float(coherence(vs))}" if vs.m >= 2 else ""
+    write_vector_set(args.out, vs)
     print(f"m={vs.m} n={vs.n}{tail}")
     return 0
 
@@ -212,7 +213,7 @@ def cmd_embed_check(args) -> int:
     fm = feature_matrix(spec, vs)
     g = gram_matrix(spec, vs)
     err = float(np.max(np.abs(fm.reconstructed_gram() - g.matrix)))
-    rank = g.rank()
+    rank = numerical_rank(g.spectrum())
     # Rounding in D^H D grows with the entries, so the tolerance is relative.
     tol = 1e-10 * max(1.0, float(np.max(np.abs(g.matrix))))
     if err >= tol:

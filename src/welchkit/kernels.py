@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import check_array, check_int, check_real
-from .linalg import EigenSpectrum, clamp_psd, hermitian_eigenvalues, numerical_rank
+from .linalg import EigenSpectrum, clamp_psd, hermitian_eigenvalues
 
 _FIELDS = ("real", "complex")
 
@@ -133,9 +133,9 @@ class GramMatrix:
 
     The one check on a Gram: a finite, square, exactly Hermitian matrix
     (G == G^H bit for bit, so its diagonal is real) with a non-negative
-    diagonal, else ValueError; the eigensolve relies on it.  The spectrum is
-    computed lazily on first use and certified PSD (small negatives clamped,
-    genuine ones rejected); repeated calls reuse the cached result.
+    diagonal, else ValueError; the eigensolve relies on it.  Each spectrum()
+    call eigensolves the matrix afresh and certifies the result PSD (small
+    negatives clamped, genuine ones rejected); callers ask for it once.
     """
 
     matrix: np.ndarray
@@ -151,22 +151,14 @@ class GramMatrix:
             raise ValueError("Gram diagonal must be non-negative")
         a.flags.writeable = False
         object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "_spectrum_cache", None)
 
     @property
     def m(self) -> int:
         return self.matrix.shape[0]
 
     def spectrum(self) -> EigenSpectrum:
-        """Eigenvalues (descending), PSD-certified; cached after the first call."""
-        cached = getattr(self, "_spectrum_cache")
-        if cached is None:
-            cached = clamp_psd(hermitian_eigenvalues(self.matrix))
-            object.__setattr__(self, "_spectrum_cache", cached)
-        return cached
-
-    def rank(self) -> int:
-        return numerical_rank(self.spectrum())
+        """Eigenvalues (descending), PSD-certified; one eigensolve per call."""
+        return clamp_psd(hermitian_eigenvalues(self.matrix))
 
 
 def inner_table(x: np.ndarray) -> np.ndarray:

@@ -141,6 +141,18 @@ class TestGen:
         assert code == 2
         assert "out" in err
 
+    def test_coherence_memory_error_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def fail(vs):
+            raise MemoryError("injected")
+
+        monkeypatch.setattr(cli, "coherence", fail)
+        out = tmp_path / "set.json"
+        code, stdout, err = run(capsys, "gen", "random", "--m", "3", "--n", "2",
+                                "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert "injected" in err
+        assert not out.exists()
+
     def test_missing_out_fails_before_the_draw(self, capsys):
         code, out, err = run(capsys, "gen", "random", "--m", "100000000000", "--n", "8")
         assert code == 2

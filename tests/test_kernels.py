@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import apply_map, pair_kernel, random_unitary, random_vectors
-from welchkit import kernels
+from welchkit import cli, kernels
+from welchkit.bounds import gram_rank_report
 from welchkit.kernels import GramMatrix, KernelSpec, VectorSet, gram_matrix, inner_table
-from welchkit.linalg import hermitian_eigenvalues
+from welchkit.linalg import hermitian_eigenvalues, numerical_rank
+from welchkit.rank_scan import rank_scan
+from welchkit.serialize import write_vector_set
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -315,14 +318,9 @@ class TestGramMatrix:
             g = gram_matrix(KernelSpec.homogeneous(p), vs).matrix
             assert np.max(np.abs(np.diag(g) - 1.0)) < 1e-12
 
-    def test_spectrum_cached(self):
-        vs = VectorSet(vectors=np.eye(3), field="real")
-        g = gram_matrix(KernelSpec.homogeneous(1), vs)
-        assert g.spectrum() is g.spectrum()
-
     def test_rank_of_identity_gram(self):
         vs = VectorSet(vectors=np.eye(5), field="real")
-        assert gram_matrix(KernelSpec.homogeneous(1), vs).rank() == 5
+        assert numerical_rank(gram_matrix(KernelSpec.homogeneous(1), vs).spectrum()) == 5
 
     def test_rejects_negative_diagonal(self):
         with pytest.raises(ValueError):
@@ -331,6 +329,40 @@ class TestGramMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="Gram matrix must be square"):
             GramMatrix(matrix=np.ones((2, 3)), kernel=KernelSpec.homogeneous(1))
+
+
+class TestOneEigensolvePerGram:
+    """Each caller asks a Gram for its spectrum once and takes the rank from it."""
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = []
+        solve = kernels.hermitian_eigenvalues
+
+        def counted(a):
+            calls.append(a.shape)
+            return solve(a)
+
+        monkeypatch.setattr(kernels, "hermitian_eigenvalues", counted)
+        return calls
+
+    def test_gram_rank_report(self, eig_calls):
+        vs = random_vectors(np.random.default_rng(5), 8, 3)
+        report = gram_rank_report(gram_matrix(KernelSpec.homogeneous(2), vs))
+        assert report.r == 6
+        assert eig_calls == [(8, 8)]
+
+    def test_embed_check(self, eig_calls, tmp_path, capsys):
+        path = tmp_path / "set.json"
+        write_vector_set(str(path), random_vectors(np.random.default_rng(6), 7, 2))
+        assert cli.main(["embed-check", "--in", str(path), "--p", "2"]) == 0
+        assert "rank=3" in capsys.readouterr().out
+        assert eig_calls == [(7, 7)]
+
+    def test_rank_scan(self, eig_calls):
+        family = (KernelSpec.homogeneous(1), KernelSpec.shifted(1, 1.0), KernelSpec.gaussian(0.5))
+        rank_scan(family, n=2, m=5, trials=2, seed=3)
+        assert eig_calls == [(5, 5)] * 6
 
 
 def row_loop_upper(gamma, x):

@@ -108,11 +108,9 @@ MALFORMED_ARRAYS = [
 ]
 
 # Every public entry point that takes a vector or a matrix, with a valid one.
-# The eigensolve takes only a checked Gram: its public route is GramMatrix.spectrum.
+# The eigensolve takes only a checked Gram, so the GramMatrix row covers it.
 ARRAY_ENTRY_POINTS = [
     pytest.param(VectorSet, np.eye(2), id="VectorSet"),
-    pytest.param(lambda a: GramMatrix(a, KernelSpec.homogeneous(1)).spectrum(), np.eye(2),
-                 id="hermitian_eigenvalues"),
     pytest.param(lambda a: FeatureMatrix(a, KernelSpec.homogeneous(1)), np.eye(2),
                  id="FeatureMatrix"),
     pytest.param(lambda a: GramMatrix(a, KernelSpec.homogeneous(1)), np.eye(2),
