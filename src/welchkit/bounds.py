@@ -204,7 +204,7 @@ def generalized_report(vs: VectorSet, p: int) -> BoundReport:
     return BoundReport("generalized", lhs, rhs, m=vs.m, n=vs.n, p=spec.p)
 
 
-def shifted_report(vs: VectorSet, p: int, c: float) -> BoundReport:
+def shifted_report(vs: VectorSet, p: int, c: float | None) -> BoundReport:
     """Shifted-kernel power sum vs its augmented-dimension bound.
 
     lhs = sum_ij |<x_i, x_j> + c|^(2p);
@@ -216,7 +216,7 @@ def shifted_report(vs: VectorSet, p: int, c: float) -> BoundReport:
     return _kernel_report("shifted", vs, KernelSpec.shifted(p, c), unit=False)
 
 
-def shifted_unit_report(vs: VectorSet, p: int, c: float) -> BoundReport:
+def shifted_unit_report(vs: VectorSet, p: int, c: float | None) -> BoundReport:
     """Unit-norm form of the shifted bound: rhs = m^2 (1+c)^(2p) / C(n+p, p)."""
     return _kernel_report("shifted-unit", vs, KernelSpec.shifted(p, c), unit=True)
 

@@ -56,24 +56,13 @@ from .serialize import (
     write_vector_set,
 )
 
-def _shift(c):
-    """A shifted kernel's c: absent (None) means 0."""
-    return 0.0 if c is None else c
-
-
-def _kernel(variant, p=None, c=None, gamma=None) -> KernelSpec:
-    """KernelSpec of the given parameters, None where absent (_shift for a shifted c)."""
-    c = _shift(c) if variant == "shifted" else c
-    return KernelSpec(variant, p=p, c=c, gamma=gamma)
-
-
 def _scan_kernel(entry) -> KernelSpec:
     """KernelSpec from one rank-scan kernel entry: only the keys given, none null."""
     check_object("kernel entry", entry, (), ("variant", "p", "c", "gamma"))
     for key, value in entry.items():
         if value is None:
             raise ValueError(f"kernel entry {key!r} must not be null; omit it")
-    return _kernel(**{"variant": None, **entry})
+    return KernelSpec(**{"variant": None, **entry})
 
 
 def _check_out_path(name: str, path):
@@ -114,7 +103,7 @@ def cmd_gen(args) -> int:
 
 def _gram_rank(vs, args):
     variant = "homogeneous" if args.kernel is None else args.kernel
-    return gram_rank_report(gram_matrix(_kernel(variant, args.p, args.c, args.gamma), vs))
+    return gram_rank_report(gram_matrix(KernelSpec(variant, args.p, args.c, args.gamma), vs))
 
 
 # Per inequality: report of (vector set, parsed flags), and flags read besides --p.
@@ -123,8 +112,8 @@ _CHECKS = {
     "power-sum": (lambda vs, a: power_sum_report(vs, a.p), ()),
     "gram-rank": (_gram_rank, ("kernel", "gamma", "c")),
     "generalized": (lambda vs, a: generalized_report(vs, a.p), ()),
-    "shifted": (lambda vs, a: shifted_report(vs, a.p, _shift(a.c)), ("c",)),
-    "shifted-unit": (lambda vs, a: shifted_unit_report(vs, a.p, _shift(a.c)), ("c",)),
+    "shifted": (lambda vs, a: shifted_report(vs, a.p, a.c), ("c",)),
+    "shifted-unit": (lambda vs, a: shifted_unit_report(vs, a.p, a.c), ("c",)),
 }
 INEQUALITY_IDS = tuple(_CHECKS)
 
@@ -209,11 +198,10 @@ def cmd_rank_scan(args) -> int:
 def cmd_embed_check(args) -> int:
     vs = read_vector_set(args.infile)
     variant = "homogeneous" if args.c is None else "shifted"
-    spec = _kernel(variant, args.p, args.c)
+    spec = KernelSpec(variant, args.p, args.c)
     fm = feature_matrix(spec, vs)
     g = gram_matrix(spec, vs)
     err = float(np.max(np.abs(fm.reconstructed_gram() - g.matrix)))
-    rank = numerical_rank(g.spectrum())
     # Rounding in D^H D grows with the entries, so the tolerance is relative.
     tol = 1e-10 * max(1.0, float(np.max(np.abs(g.matrix))))
     if err >= tol:
@@ -221,6 +209,7 @@ def cmd_embed_check(args) -> int:
             f"feature map does not reproduce the Gram: max_error={format_float(err)} "
             f"is not below {format_float(tol)}"
         )
+    rank = numerical_rank(g.spectrum())
     print(f"max_error={format_float(err)} rank={rank} embedding_dim={fm.feature_dim}")
     return 0
 

@@ -89,7 +89,6 @@ class FeatureMatrix:
     """D = [phi(x_1) ... phi(x_m)] as columns; D^H D reproduces the Gram."""
 
     matrix: np.ndarray
-    kernel: KernelSpec
 
     def __post_init__(self):
         a = np.array(check_array("feature matrix", self.matrix, 2))
@@ -121,4 +120,4 @@ def feature_matrix(spec: KernelSpec, vs: VectorSet) -> FeatureMatrix:
             f"monomial basis for n={rows.shape[1]}, p={spec.p} has {size} elements, "
             f"cap is {BASIS_CAP}"
         )
-    return FeatureMatrix(matrix=_embed_rows(rows, spec.p).T, kernel=spec)
+    return FeatureMatrix(matrix=_embed_rows(rows, spec.p).T)

@@ -31,12 +31,11 @@ class VectorSet:
     """m vectors in C^n, stored as rows of an (m, n) complex128 array.
 
     field tags the intended scalar field: when it is "real" every imaginary
-    part must be exactly zero.  labels, when given, name the vectors 1:1.
+    part must be exactly zero.
     """
 
     vectors: np.ndarray
     field: str = "complex"
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         # A copy of its own, so freezing it never freezes the caller's array.
@@ -45,11 +44,6 @@ class VectorSet:
             raise ValueError(f"field must be one of {_FIELDS}, got {self.field!r}")
         if self.field == "real" and np.any(arr.imag != 0.0):
             raise ValueError("field='real' requires exactly zero imaginary parts")
-        if self.labels is not None:
-            labels = tuple(str(s) for s in self.labels)
-            if len(labels) != arr.shape[0]:
-                raise ValueError("labels must match the number of vectors")
-            object.__setattr__(self, "labels", labels)
         arr.flags.writeable = False
         object.__setattr__(self, "vectors", arr)
 
@@ -76,7 +70,8 @@ class KernelSpec:
 
     The parameter ranges guarantee positive semidefiniteness.  Unused
     parameters stay None; the others are checked by errors.check_int and
-    errors.check_real and stored as int and float.
+    errors.check_real and stored as int and float.  A shifted kernel's absent
+    c (None) is 0.
     """
 
     variant: str
@@ -93,7 +88,8 @@ class KernelSpec:
                 if self.c is not None:
                     raise ValueError("homogeneous kernel takes no shift c")
             else:
-                c = check_real("shift c (kernel parameter c)", self.c, 0)
+                c = 0.0 if self.c is None else self.c
+                c = check_real("shift c (kernel parameter c)", c, 0)
                 object.__setattr__(self, "c", c)
         elif self.variant == "gaussian":
             if self.p is not None or self.c is not None:
@@ -108,7 +104,7 @@ class KernelSpec:
         return cls("homogeneous", p=p)
 
     @classmethod
-    def shifted(cls, p: int, c: float) -> "KernelSpec":
+    def shifted(cls, p: int, c: float | None) -> "KernelSpec":
         return cls("shifted", p=p, c=c)
 
     @classmethod
@@ -195,7 +191,8 @@ def _gaussian_table(gamma: float, x: np.ndarray) -> np.ndarray:
 
 
 def gram_matrix(spec: KernelSpec, vs: VectorSet) -> GramMatrix:
-    """G[i, j] = k(x_i, x_j): upper triangle evaluated, lower conjugate-mirrored."""
+    """G[i, j] = k(x_i, x_j): the whole table evaluated, then its strict upper
+    triangle kept and conjugate-mirrored into the lower one, diagonal made real."""
     if spec.variant == "gaussian":
         table = _gaussian_table(spec.gamma, vs.vectors)
     elif spec.variant == "homogeneous":

@@ -11,8 +11,10 @@ Vector-set files are JSON documents
      "vectors": [[[re, im], ...] per vector], "labels": [...]?}
 
 with every entry an explicit [re, im] pair regardless of field; a "real"
-file must have all imaginary parts exactly 0.  Rows are read and written
-an array at a time; only the formatting of each double is per entry.
+file must have all imaginary parts exactly 0.  Optional labels, m strings,
+are checked on reading and then dropped; no writer writes them.  Rows are
+read and written an array at a time; only the formatting of each double is
+per entry.
 
 Every JSON input is read as UTF-8 and parsed by parse_json, which rejects
 only what no reader could: NaN/Infinity literals and over-deep nesting.  A
@@ -116,10 +118,7 @@ def _pairs(vs: VectorSet) -> np.ndarray:
 
 
 def vector_set_to_dict(vs: VectorSet) -> dict:
-    doc = {"field": vs.field, "n": vs.n, "m": vs.m, "vectors": _pairs(vs).tolist()}
-    if vs.labels is not None:
-        doc["labels"] = list(vs.labels)
-    return doc
+    return {"field": vs.field, "n": vs.n, "m": vs.m, "vectors": _pairs(vs).tolist()}
 
 
 def vector_set_from_dict(doc) -> VectorSet:
@@ -143,11 +142,11 @@ def vector_set_from_dict(doc) -> VectorSet:
         data = table.astype(np.float64).view(np.complex128)[..., 0]
     except OverflowError:  # an integer entry beyond float range; VectorSet rejects inf
         raise ValueError("vectors entries must lie within float range") from None
-    raw = doc.get("labels", [])
-    if not isinstance(raw, list) or not all(isinstance(s, str) for s in raw):
-        raise ValueError("labels must be a list of strings")
-    labels = tuple(raw) if "labels" in doc else None
-    return VectorSet(vectors=data, field=doc["field"], labels=labels)
+    labels = doc.get("labels")  # optional; checked, then dropped
+    if "labels" in doc and not (isinstance(labels, list) and len(labels) == m
+                                and all(isinstance(s, str) for s in labels)):
+        raise ValueError("labels must be a list of m strings")
+    return VectorSet(vectors=data, field=doc["field"])
 
 
 def write_vector_set(path: str, vs: VectorSet):

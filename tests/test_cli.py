@@ -780,7 +780,7 @@ class TestEmbedCheck:
         def perturbed(spec, vs):
             d = exact(spec, vs).matrix.copy()
             d[np.unravel_index(np.argmax(np.abs(d)), d.shape)] *= 1.0 + perturb
-            return FeatureMatrix(d, spec)
+            return FeatureMatrix(d)
 
         monkeypatch.setattr(cli, "feature_matrix", perturbed)
         got, stdout, err = run(

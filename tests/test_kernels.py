@@ -1,15 +1,19 @@
 """Kernel evaluation and Gram matrix construction."""
 
+import json
+
 import numpy as np
 import pytest
 
 from helpers import apply_map, pair_kernel, random_unitary, random_vectors
 from welchkit import cli, kernels
 from welchkit.bounds import gram_rank_report
+from welchkit.features import FeatureMatrix
+from welchkit.frames import simplex_frame
 from welchkit.kernels import GramMatrix, KernelSpec, VectorSet, gram_matrix, inner_table
 from welchkit.linalg import hermitian_eigenvalues, numerical_rank
 from welchkit.rank_scan import rank_scan
-from welchkit.serialize import write_vector_set
+from welchkit.serialize import read_vector_set, vector_set_to_dict, write_vector_set
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -136,11 +140,16 @@ class TestKernelSpecValidation:
             KernelSpec.gaussian(0.0)
 
     def test_rejects_non_numeric_parameters(self):
-        for bad in (None, True, "0.5", [0.5]):
+        for bad in (True, "0.5", [0.5]):
             with pytest.raises(ValueError, match="parameter c"):
                 KernelSpec.shifted(2, bad)
+        for bad in (None, True, "0.5", [0.5]):
             with pytest.raises(ValueError, match="parameter gamma"):
                 KernelSpec.gaussian(bad)
+
+    def test_absent_shift_is_zero(self):
+        assert KernelSpec("shifted", p=2).c == KernelSpec.shifted(2, None).c == 0.0
+        assert KernelSpec("shifted", p=2) == KernelSpec.shifted(2, 0)
 
     def test_rejects_stray_parameters(self):
         with pytest.raises(ValueError):
@@ -177,9 +186,40 @@ class TestVectorSet:
         with pytest.raises(ValueError):
             VectorSet(vectors=np.array([[np.inf, 0.0]]))
 
-    def test_labels_must_match_count(self):
-        with pytest.raises(ValueError):
-            VectorSet(vectors=np.eye(2), labels=("a",))
+    @staticmethod
+    def check_file(tmp_path, capsys, name, doc):
+        """Exit code, stdout and stderr of `welch check` on doc written to name."""
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        code = cli.main(["check", "--in", str(path), "--inequality", "power-sum", "--p", "2"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @classmethod
+    def assert_labels_rejected(cls, tmp_path, capsys, labels):
+        doc = {**vector_set_to_dict(simplex_frame(2)), "labels": labels}
+        code, out, err = cls.check_file(tmp_path, capsys, "set.json", doc)
+        assert (code, out) == (2, "")
+        assert "labels must be a list of m strings" in err
+
+    # A file's labels are checked on reading, then dropped: a VectorSet has none.
+    def test_labels_must_match_count(self, tmp_path, capsys):
+        self.assert_labels_rejected(tmp_path, capsys, ["a", "b"])
+
+    @pytest.mark.parametrize("labels", [None, "abc", {"0": "a"}, ["a", "b", 3], ["a", None, "c"]])
+    def test_labels_must_be_a_list_of_strings(self, tmp_path, capsys, labels):
+        self.assert_labels_rejected(tmp_path, capsys, labels)
+
+    def test_labelled_file_reads_as_the_unlabelled_one(self, tmp_path, capsys):
+        doc = vector_set_to_dict(random_vectors(np.random.default_rng(7), 3, 2, unit=True))
+        plain = self.check_file(tmp_path, capsys, "plain.json", doc)
+        labelled = self.check_file(tmp_path, capsys, "labelled.json",
+                                   {**doc, "labels": ["a", "", 'q"\u00e9']})
+        assert plain == labelled and plain[0] == 0
+        back = read_vector_set(str(tmp_path / "labelled.json"))
+        plain_back = read_vector_set(str(tmp_path / "plain.json"))
+        assert back.vectors.tobytes() == plain_back.vectors.tobytes()
+        assert not hasattr(back, "labels")
 
     def test_storage_is_read_only(self):
         vs = VectorSet(vectors=np.eye(2))
@@ -358,6 +398,22 @@ class TestOneEigensolvePerGram:
         assert cli.main(["embed-check", "--in", str(path), "--p", "2"]) == 0
         assert "rank=3" in capsys.readouterr().out
         assert eig_calls == [(7, 7)]
+
+    def test_failing_embed_check_does_not_eigensolve(self, eig_calls, tmp_path, capsys,
+                                                      monkeypatch):
+        path = tmp_path / "set.json"
+        write_vector_set(str(path), simplex_frame(2))
+        exact = cli.feature_matrix
+
+        def perturbed(spec, vs):
+            d = exact(spec, vs).matrix.copy()
+            d[np.unravel_index(np.argmax(np.abs(d)), d.shape)] *= 1.0 + 1e-6
+            return FeatureMatrix(d)
+
+        monkeypatch.setattr(cli, "feature_matrix", perturbed)
+        assert cli.main(["embed-check", "--in", str(path), "--p", "2", "--c", "1"]) == 4
+        assert "does not reproduce the Gram" in capsys.readouterr().err
+        assert eig_calls == []
 
     def test_rank_scan(self, eig_calls):
         family = (KernelSpec.homogeneous(1), KernelSpec.shifted(1, 1.0), KernelSpec.gaussian(0.5))

@@ -91,6 +91,13 @@ def _with_first(entry):
     return make
 
 
+class _ArrayRaisesTypeError:
+    """An array-like whose conversion fails with TypeError, not ValueError."""
+
+    def __array__(self, *args, **kwargs):
+        raise TypeError("no array here")
+
+
 # Each row turns a valid vector or matrix into one that check_array refuses.
 MALFORMED_ARRAYS = [
     pytest.param(lambda good: good[np.newaxis], id="wrong-ndim"),
@@ -105,14 +112,14 @@ MALFORMED_ARRAYS = [
     pytest.param(lambda good: good.real.astype(str), id="numeric-strings"),
     pytest.param(lambda good: good.real.astype(bool), id="bools"),
     pytest.param(lambda good: good.astype(object), id="numeric-objects"),
+    pytest.param(lambda good: _ArrayRaisesTypeError(), id="array-raises-type-error"),
 ]
 
 # Every public entry point that takes a vector or a matrix, with a valid one.
 # The eigensolve takes only a checked Gram, so the GramMatrix row covers it.
 ARRAY_ENTRY_POINTS = [
     pytest.param(VectorSet, np.eye(2), id="VectorSet"),
-    pytest.param(lambda a: FeatureMatrix(a, KernelSpec.homogeneous(1)), np.eye(2),
-                 id="FeatureMatrix"),
+    pytest.param(FeatureMatrix, np.eye(2), id="FeatureMatrix"),
     pytest.param(lambda a: GramMatrix(a, KernelSpec.homogeneous(1)), np.eye(2),
                  id="GramMatrix"),
 ]

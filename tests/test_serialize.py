@@ -1,5 +1,6 @@
 """Canonical JSON, vector-set files, report round-trips."""
 
+import json
 import os
 import stat
 
@@ -152,15 +153,16 @@ class TestAtomicWrite:
 
 class TestVectorSetFiles:
     def test_round_trip_complex_with_labels(self, tmp_path):
+        # Labels in a file are read and dropped; the set is written back without them.
         rng = np.random.default_rng(82)
         vs = random_vectors(rng, 4, 3)
-        vs = VectorSet(vectors=vs.vectors, field="complex", labels=("a", "b", "c", "d"))
         path = tmp_path / "set.json"
-        write_vector_set(str(path), vs)
+        path.write_text(canonical_json({**vector_set_to_dict(vs), "labels": list("abcd")}))
         back = read_vector_set(str(path))
         assert np.array_equal(back.vectors, vs.vectors)
         assert back.field == "complex"
-        assert back.labels == ("a", "b", "c", "d")
+        write_vector_set(str(path), back)
+        assert "labels" not in json.loads(path.read_text())
 
     def test_round_trip_real(self, tmp_path):
         vs = simplex_frame(3)
@@ -286,8 +288,10 @@ class TestVectorSetWriter:
             pytest.param(lambda: simplex_frame(3), id="real-simplex"),
             pytest.param(lambda: random_vectors(np.random.default_rng(85), 7, 3), id="complex"),
             pytest.param(
-                lambda: VectorSet(random_vectors(np.random.default_rng(86), 2, 2).vectors,
-                                  field="complex", labels=("a", 'q"\u00e9')),
+                lambda: vector_set_from_dict(
+                    {**vector_set_to_dict(random_vectors(np.random.default_rng(86), 2, 2)),
+                     "labels": ["a", 'q"\u00e9']}
+                ),
                 id="labelled",
             ),
             pytest.param(lambda: special_values_set("real"), id="special-real"),
@@ -306,7 +310,7 @@ class TestVectorSetWriter:
         assert path.read_text() == canonical_json(vector_set_to_dict(vs)) + "\n"
         back = read_vector_set(str(path))
         assert back.vectors.tobytes() == np.ascontiguousarray(vs.vectors).tobytes()
-        assert (back.field, back.labels) == (vs.field, vs.labels)
+        assert back.field == vs.field
 
     def test_array_branch_matches_nested_lists(self):
         rng = np.random.default_rng(87)
