@@ -98,11 +98,22 @@ def _require_unit_norms(vs: VectorSet) -> np.ndarray:
     return norms
 
 
+# Coherence inner products per row block: at most 2^22 entries (64 MiB complex),
+# so a large set never holds its whole m x m table.
+_COHERENCE_BLOCK = 2**22
+
+
 def coherence(vs: VectorSet) -> float:
-    """Largest off-diagonal |<x_i, x_j>|."""
+    """Largest off-diagonal |<x_i, x_j>|: a running maximum over row blocks of
+    the strict upper triangle (exact in any order; one block when m <= 2048)."""
     if vs.m < 2:
         raise NumericalError("coherence needs at least two vectors")
-    return float(np.max(np.triu(np.abs(inner_table(vs.vectors)), 1)))
+    x = vs.vectors
+    rows = max(1, _COHERENCE_BLOCK // vs.m)
+    return float(max(
+        np.max(np.triu(np.abs(inner_table(x[i:i + rows], x)), i + 1))
+        for i in range(0, vs.m, rows)
+    ))
 
 
 def welch_coherence_bound(m: int, n: int, p: int) -> float:

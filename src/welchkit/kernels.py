@@ -4,8 +4,9 @@ A ``VectorSet`` holds m vectors of C^n as the rows of an (m, n) complex128
 array.  ``KernelSpec`` names one of the supported positive-semidefinite
 kernels (homogeneous polynomial, shifted polynomial, Gaussian).
 ``inner_table`` is the one place the pairwise inner products
-T[i, j] = <x_i, x_j> are computed, and ``power_sum`` the one place a table
-is reduced to sum_ij |T[i, j]|^(2p); ``gram_matrix`` maps T elementwise
+T[i, j] = <x_i, x_j> are computed (also of a block of rows against all
+rows), and ``power_sum`` the one place a table is reduced to
+sum_ij |T[i, j]|^(2p); ``gram_matrix`` maps T elementwise
 (T**p, (T + c)**p), except for the Gaussian kernel, which uses direct
 differences x_i - x_j over blocks of rows.  The upper triangle is then mirrored
 into the lower one with a real diagonal, so the Gram is exactly Hermitian.
@@ -157,9 +158,11 @@ class GramMatrix:
         return clamp_psd(hermitian_eigenvalues(self.matrix))
 
 
-def inner_table(x: np.ndarray) -> np.ndarray:
-    """T[..., i, j] = <x_i, x_j> for the rows of an (..., m, n) array: conj(X) X^T."""
-    return np.conj(x) @ np.swapaxes(x, -1, -2)
+def inner_table(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """T[..., i, j] = <x_i, y_j> for the rows of (..., m, n) arrays: conj(X) Y^T.
+
+    y defaults to x, the table of one set against itself."""
+    return np.conj(x) @ np.swapaxes(x if y is None else y, -1, -2)
 
 
 def power_sum(t: np.ndarray, p: int):

@@ -14,7 +14,9 @@ with every entry an explicit [re, im] pair regardless of field; a "real"
 file must have all imaginary parts exactly 0.  Optional labels, m strings,
 are checked on reading and then dropped; no writer writes them.  Rows are
 read and written an array at a time; only the formatting of each double is
-per entry.
+per entry.  A process keeps the parse of the last vector-set text it read:
+reading the same text again, from any path, returns the same immutable
+VectorSet object, and a read that fails caches nothing.
 
 Every JSON input is read as UTF-8 and parsed by parse_json, which rejects
 only what no reader could: NaN/Infinity literals and over-deep nesting.  A
@@ -24,6 +26,7 @@ names the field.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -155,9 +158,15 @@ def write_vector_set(path: str, vs: VectorSet):
     atomic_write(path, canonical_json(doc) + "\n")
 
 
+@functools.lru_cache(maxsize=1)
+def _vector_set_from_text(text: str) -> VectorSet:
+    # Keyed on the whole text: the same bytes give the same (immutable) set.
+    return vector_set_from_dict(parse_json(text))
+
+
 def read_vector_set(path: str) -> VectorSet:
     with open(path, encoding="utf-8") as handle:
-        return vector_set_from_dict(parse_json(handle.read()))
+        return _vector_set_from_text(handle.read())
 
 
 def optimize_result_to_dict(res: OptimizeResult) -> dict:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import apply_map, random_unitary, random_vectors
+from welchkit import bounds
 from welchkit.bounds import (
     BoundReport,
     coherence,
@@ -48,6 +49,45 @@ class TestCoherence:
     def test_single_vector_rejected(self):
         with pytest.raises(NumericalError, match="coherence needs at least two vectors"):
             coherence(VectorSet(vectors=np.eye(1), field="real"))
+
+
+class TestBlockedCoherence:
+    """The running maximum over row blocks against the whole-table expression."""
+
+    @staticmethod
+    def whole_table(vs):
+        return float(np.max(np.triu(np.abs(inner_table(vs.vectors)), 1)))
+
+    @pytest.mark.parametrize("m, n", [(50, 3), (500, 8), (2048, 2), (2, 4)])
+    def test_one_block_is_bit_for_bit(self, m, n):
+        vs = random_unit_vectors(m, n, seed=m + n)
+        assert bounds._COHERENCE_BLOCK // m >= m
+        assert coherence(vs) == self.whole_table(vs)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_small_blocks_agree(self, monkeypatch, rows, field):
+        m = 50
+        vs = random_unit_vectors(m, 4, field=field, seed=rows)
+        whole = self.whole_table(vs)
+        monkeypatch.setattr(bounds, "_COHERENCE_BLOCK", rows * m)
+        assert abs(coherence(vs) - whole) <= 1e-15
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 4])
+    def test_two_vectors_in_any_block(self, monkeypatch, block):
+        vs = VectorSet(vectors=np.array([[0.0, 1.0], [1.0, 0.0]]), field="real")
+        monkeypatch.setattr(bounds, "_COHERENCE_BLOCK", block)
+        assert coherence(vs) == 0.0
+        tilted = VectorSet(vectors=np.array([[1.0, 0.0], [0.6, 0.8]]), field="real")
+        assert coherence(tilted) == 0.6
+
+    @pytest.mark.parametrize("rows", [1, 3, 100])
+    def test_repeated_vectors_read_one(self, monkeypatch, rows):
+        # The last vector repeated: only the last block sees that pair.
+        vs = random_unit_vectors(40, 3, seed=5)
+        x = np.vstack([vs.vectors, vs.vectors[-1:]])
+        monkeypatch.setattr(bounds, "_COHERENCE_BLOCK", rows * len(x))
+        assert abs(coherence(VectorSet(x)) - 1.0) < 1e-15
 
 
 class TestWelchCoherenceBound:

@@ -3,12 +3,16 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from helpers import random_vectors
+from welchkit import serialize
 from welchkit.bounds import power_sum_report
+from welchkit.cli import main
 from welchkit.kernels import VectorSet
 from welchkit.frames import (
     OptimizerConfig,
@@ -276,6 +280,87 @@ def special_values_set(field):
     if field == "complex":
         z.imag = re[::-1]
     return VectorSet(vectors=z, field=field)
+
+
+class TestVectorSetReadCache:
+    """A process keeps the parse of the last vector-set text it read."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Count the parse_json calls made while reading vector sets."""
+        calls = []
+
+        def counted(text):
+            calls.append(len(text))
+            return parse_json(text)
+
+        monkeypatch.setattr(serialize, "parse_json", counted)
+        return calls
+
+    def test_second_read_of_a_file_is_the_same_object(self, tmp_path, parses):
+        path = str(tmp_path / "set.json")
+        write_vector_set(path, random_vectors(np.random.default_rng(90), 6, 3))
+        first = read_vector_set(path)
+        assert read_vector_set(path) is first
+        assert len(parses) == 1
+        assert not first.vectors.flags.writeable
+
+    def test_two_paths_with_the_same_text_share_one_parse(self, tmp_path, parses):
+        vs = random_vectors(np.random.default_rng(91), 5, 2)
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        write_vector_set(a, vs)
+        write_vector_set(b, vs)
+        assert read_vector_set(a) is read_vector_set(b)
+        assert len(parses) == 1
+
+    def test_rewrite_with_same_size_and_mtime_is_read_anew(self, tmp_path):
+        path = tmp_path / "set.json"
+        old = VectorSet(vectors=np.array([[0.25, 0.5], [0.75, 1.0]]), field="real")
+        new = VectorSet(vectors=np.array([[0.5, 0.25], [1.0, 0.75]]), field="real")
+        write_vector_set(str(path), old)
+        stat_before = os.stat(path)
+        assert np.array_equal(read_vector_set(str(path)).vectors, old.vectors)
+        write_vector_set(str(path), new)
+        os.utime(path, ns=(stat_before.st_atime_ns, stat_before.st_mtime_ns))
+        stat_after = os.stat(path)
+        assert stat_after.st_size == stat_before.st_size
+        assert stat_after.st_mtime_ns == stat_before.st_mtime_ns
+        assert np.array_equal(read_vector_set(str(path)).vectors, new.vectors)
+
+    def test_failed_read_caches_nothing_and_keeps_the_last_parse(self, tmp_path, parses):
+        good, bad = str(tmp_path / "good.json"), tmp_path / "bad.json"
+        write_vector_set(good, orthonormal_frame(3))
+        kept = read_vector_set(good)
+        bad.write_text('{"field": "real", "n": 2, "m": 1, "vectors": [[[1, 0]]]}')
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as caught:
+                read_vector_set(str(bad))
+            messages.append(str(caught.value))
+        assert messages == ["vector 0 must be a list of n entries"] * 2
+        assert len(parses) == 3
+        assert read_vector_set(good) is kept
+        assert len(parses) == 3
+
+    def test_warm_check_after_overwrite_matches_a_fresh_process(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        argv = ["check", "--in", "set.json", "--inequality", "coherence", "--p", "1"]
+        write_vector_set("set.json", random_vectors(np.random.default_rng(92), 5, 2, unit=True))
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        write_vector_set("set.json", random_vectors(np.random.default_rng(93), 5, 2, unit=True))
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        src = os.path.dirname(os.path.dirname(serialize.__file__))
+        fresh = subprocess.run(
+            [sys.executable, "-c", "from welchkit.cli import entry; entry()", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert fresh.returncode == 0
+        assert warm == fresh.stdout != first
 
 
 class TestVectorSetWriter:
