@@ -5,10 +5,10 @@ as an integer or a real parameter: any ``numbers.Integral`` or
 ``numbers.Real`` except ``bool``, returned as a plain ``int`` (at most
 INT64_MAX unless the caller sets another bound) or a finite ``float``.
 ``check_array`` is the same for vectors and matrices: a numeric (not bool)
-array, returned as complex128, with the expected number of axes, none
-empty, every entry finite.  ``check_object`` is the same for JSON objects:
-a dict with no unknown key and every required key.  A failed check raises
-ValueError with a message that names the parameter.
+array with the expected number of axes, none empty, every entry finite,
+returned as a complex128 ``read_only_copy``.  ``check_object`` is the same
+for JSON objects: a dict with no unknown key and every required key.  A
+failed check raises ValueError with a message that names the parameter.
 """
 
 import math
@@ -74,10 +74,16 @@ def check_object(name, doc, required, optional=()):
             raise ValueError(f"{name} missing {key!r}")
 
 
+def read_only_copy(array: np.ndarray) -> np.ndarray:
+    """A C-order copy of a non-empty array over an immutable bytes buffer:
+    neither it, nor its base, nor any view of it can be made writeable."""
+    return np.frombuffer(array.tobytes(), array.dtype).reshape(array.shape)
+
+
 def check_array(name, value, ndim) -> np.ndarray:
-    """value as a complex128 array (no copy if it already is one), if its
-    entries are integers, reals or complex numbers (not bools, strings or
-    objects), it has ndim axes, none of them empty, and every entry is finite."""
+    """value as a read_only_copy in complex128, if its entries are integers,
+    reals or complex numbers (not bools, strings or objects), it has ndim
+    axes, none of them empty, and every entry is finite."""
     try:
         array = np.asarray(value)
     except TypeError as exc:  # ValueError already covers ragged lists
@@ -91,4 +97,4 @@ def check_array(name, value, ndim) -> np.ndarray:
         )
     if not np.all(np.isfinite(array)):
         raise ValueError(f"{name} entries must be finite")
-    return array
+    return read_only_copy(array)

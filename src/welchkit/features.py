@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import INT64_MAX, check_array, check_int
+from .errors import INT64_MAX, NumericalError, check_array, check_int
 from .kernels import KernelSpec, VectorSet, inner_table
 
 # Ceiling on monomial basis length.
@@ -91,9 +91,7 @@ class FeatureMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = np.array(check_array("feature matrix", self.matrix, 2))
-        a.flags.writeable = False
-        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "matrix", check_array("feature matrix", self.matrix, 2))
 
     @property
     def feature_dim(self) -> int:
@@ -120,4 +118,7 @@ def feature_matrix(spec: KernelSpec, vs: VectorSet) -> FeatureMatrix:
             f"monomial basis for n={rows.shape[1]}, p={spec.p} has {size} elements, "
             f"cap is {BASIS_CAP}"
         )
-    return FeatureMatrix(matrix=_embed_rows(rows, spec.p).T)
+    d = _embed_rows(rows, spec.p).T
+    if not np.all(np.isfinite(d)):
+        raise NumericalError(f"feature matrix of the {spec.describe()} kernel is not finite")
+    return FeatureMatrix(matrix=d)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_array, check_int, check_real
+from .errors import NumericalError, check_array, check_int, check_real
 from .linalg import EigenSpectrum, clamp_psd, hermitian_eigenvalues
 
 _FIELDS = ("real", "complex")
@@ -39,13 +39,11 @@ class VectorSet:
     field: str = "complex"
 
     def __post_init__(self):
-        # A copy of its own, so freezing it never freezes the caller's array.
-        arr = np.array(check_array("vectors", self.vectors, 2))
+        arr = check_array("vectors", self.vectors, 2)
         if self.field not in _FIELDS:
             raise ValueError(f"field must be one of {_FIELDS}, got {self.field!r}")
         if self.field == "real" and np.any(arr.imag != 0.0):
             raise ValueError("field='real' requires exactly zero imaginary parts")
-        arr.flags.writeable = False
         object.__setattr__(self, "vectors", arr)
 
     @property
@@ -139,14 +137,13 @@ class GramMatrix:
     kernel: KernelSpec
 
     def __post_init__(self):
-        a = np.array(check_array("Gram matrix", self.matrix, 2))
+        a = check_array("Gram matrix", self.matrix, 2)
         if a.shape[0] != a.shape[1]:
             raise ValueError("Gram matrix must be square")
         if not np.array_equal(a, a.conj().T):
             raise ValueError("Gram matrix must be exactly Hermitian")
         if np.any(a.diagonal().real < 0.0):
             raise ValueError("Gram diagonal must be non-negative")
-        a.flags.writeable = False
         object.__setattr__(self, "matrix", a)
 
     @property
@@ -195,7 +192,8 @@ def _gaussian_table(gamma: float, x: np.ndarray) -> np.ndarray:
 
 def gram_matrix(spec: KernelSpec, vs: VectorSet) -> GramMatrix:
     """G[i, j] = k(x_i, x_j): the whole table evaluated, then its strict upper
-    triangle kept and conjugate-mirrored into the lower one, diagonal made real."""
+    triangle kept and conjugate-mirrored into the lower one, diagonal made real.
+    An entry past float range raises NumericalError."""
     if spec.variant == "gaussian":
         table = _gaussian_table(spec.gamma, vs.vectors)
     elif spec.variant == "homogeneous":
@@ -205,4 +203,6 @@ def gram_matrix(spec: KernelSpec, vs: VectorSet) -> GramMatrix:
     upper = np.triu(table, 1)
     g = upper + upper.conj().T
     np.fill_diagonal(g, table.diagonal().real)
+    if not np.all(np.isfinite(g)):
+        raise NumericalError(f"Gram of the {spec.describe()} kernel is not finite")
     return GramMatrix(matrix=g, kernel=spec)

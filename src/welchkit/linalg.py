@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalError, check_real
+from .errors import NumericalError, check_real, read_only_copy
 
 # Relative tolerance for the runtime spectral identity checks.
 TRACE_IDENTITY_RTOL = 1e-9
@@ -44,12 +44,12 @@ class EigenSpectrum:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", vals)
         if (vals.ndim != 1 or not vals.size or not np.all(np.isfinite(vals))
                 or np.any(np.diff(vals) > 0)):
             raise ValueError(
                 "spectrum must be a non-empty, non-increasing 1-D array of finite values"
             )
+        object.__setattr__(self, "values", read_only_copy(vals))
 
     @property
     def source_dim(self) -> int:

@@ -116,8 +116,7 @@ def atomic_write(path: str, text: str):
 
 def _pairs(vs: VectorSet) -> np.ndarray:
     # (m, n) complex reinterpreted as (m, n, 2) doubles: [re, im] per entry.
-    # The reinterpretation needs C order; a transposed set may be in F order.
-    return np.ascontiguousarray(vs.vectors).view(np.float64).reshape(vs.m, vs.n, 2)
+    return vs.vectors.view(np.float64).reshape(vs.m, vs.n, 2)
 
 
 def vector_set_to_dict(vs: VectorSet) -> dict:

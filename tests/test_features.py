@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import pair_kernel, random_vectors
+from welchkit.errors import NumericalError
 from welchkit.features import (
     BASIS_CAP,
     binomial,
@@ -300,6 +301,12 @@ class TestFeatureMatrix:
         vs = random_vectors(rng, 40, 3)
         g = gram_matrix(KernelSpec.homogeneous(2), vs)
         assert numerical_rank(g.spectrum()) == 6
+
+    def test_overflowing_feature_matrix_is_a_numerical_error(self):
+        # 10^400 is past float range.
+        spec = KernelSpec.homogeneous(400)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=spec.describe()):
+            feature_matrix(spec, VectorSet([[10, 0]]))
 
     def test_gaussian_rejected(self):
         vs = VectorSet(vectors=np.eye(2), field="real")

@@ -8,6 +8,7 @@ import pytest
 from helpers import apply_map, pair_kernel, random_unitary, random_vectors
 from welchkit import cli, kernels
 from welchkit.bounds import gram_rank_report
+from welchkit.errors import NumericalError
 from welchkit.features import FeatureMatrix
 from welchkit.frames import simplex_frame
 from welchkit.kernels import GramMatrix, KernelSpec, VectorSet, gram_matrix, inner_table
@@ -313,6 +314,15 @@ class TestGramMatrix:
         spectrum = g.spectrum()
         assert not spectrum.clamp_applied
         assert spectrum.values.tobytes() == np.linalg.eigvalsh(g.matrix)[::-1].tobytes()
+
+    @pytest.mark.parametrize(
+        "spec", [KernelSpec.homogeneous(2000), KernelSpec.shifted(2000, 1.0)],
+        ids=["homogeneous", "shifted"],
+    )
+    def test_overflowing_gram_is_a_numerical_error(self, spec):
+        # 3^4000 is past float range; a user-given non-finite Gram stays a ValueError.
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match=spec.describe()):
+            gram_matrix(spec, VectorSet([[2, 0], [0, 3]]))
 
     def test_rejects_one_ulp_asymmetry(self):
         g = gram_matrix(KernelSpec.homogeneous(1), random_vectors(np.random.default_rng(4), 5, 3))

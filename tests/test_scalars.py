@@ -21,7 +21,7 @@ from welchkit.frames import (
     simplex_frame,
 )
 from welchkit.kernels import GramMatrix, KernelSpec, VectorSet, gram_matrix
-from welchkit.linalg import numerical_rank
+from welchkit.linalg import EigenSpectrum, numerical_rank
 
 
 class TestCheckInt:
@@ -144,9 +144,12 @@ class TestCheckArray:
         with pytest.raises(ValueError, match="must be numeric, got dtype"):
             call()
 
-    def test_complex128_input_is_returned_as_is(self):
+    def test_complex128_input_is_copied_read_only(self):
         a = np.ones((2, 3), dtype=np.complex128)
-        assert check_array("a", a, 2) is a
+        got = check_array("a", a, 2)
+        assert got is not a and np.array_equal(got, a)
+        assert not got.flags.writeable and got.flags.c_contiguous
+        assert a.flags.writeable
 
     def test_lists_become_complex128(self):
         got = check_array("v", [1, 2.5], 1)
@@ -157,6 +160,30 @@ class TestCheckArray:
             check_array("v", [[1.0]], 1)
         with pytest.raises(ValueError, match="v entries must be finite"):
             check_array("v", [math.nan], 1)
+
+
+READ_ONLY_VALUES = [
+    pytest.param(lambda: VectorSet(np.eye(2)).vectors, id="VectorSet"),
+    pytest.param(lambda: GramMatrix(np.eye(2), KernelSpec.homogeneous(1)).matrix,
+                 id="GramMatrix"),
+    pytest.param(lambda: FeatureMatrix(np.eye(2)).matrix, id="FeatureMatrix"),
+    pytest.param(lambda: EigenSpectrum([2.0, 1.0], trace=3.0, frobenius_sq=5.0).values,
+                 id="EigenSpectrum"),
+]
+
+
+@pytest.mark.parametrize("make", READ_ONLY_VALUES)
+@pytest.mark.parametrize(
+    "view",
+    [
+        pytest.param(lambda a: a, id="array"),
+        pytest.param(lambda a: a.base, id="base"),
+        pytest.param(lambda a: a.T, id="transpose"),
+    ],
+)
+def test_value_arrays_cannot_be_made_writeable(make, view):
+    with pytest.raises(ValueError):
+        view(make()).flags.writeable = True
 
 
 def test_gram_rank_report_validates_its_gram_once(monkeypatch):

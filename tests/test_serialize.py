@@ -342,6 +342,13 @@ class TestVectorSetReadCache:
         assert read_vector_set(good) is kept
         assert len(parses) == 3
 
+    def test_shared_set_cannot_be_changed_for_the_next_read(self, tmp_path):
+        path = str(tmp_path / "set.json")
+        write_vector_set(path, orthonormal_frame(2))
+        with pytest.raises(ValueError):
+            read_vector_set(path).vectors.flags.writeable = True
+        assert np.array_equal(read_vector_set(path).vectors, np.eye(2))
+
     def test_warm_check_after_overwrite_matches_a_fresh_process(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -394,8 +401,15 @@ class TestVectorSetWriter:
         write_vector_set(str(path), vs)
         assert path.read_text() == canonical_json(vector_set_to_dict(vs)) + "\n"
         back = read_vector_set(str(path))
-        assert back.vectors.tobytes() == np.ascontiguousarray(vs.vectors).tobytes()
+        assert back.vectors.tobytes() == vs.vectors.tobytes()
         assert back.field == vs.field
+
+    def test_fortran_order_input_writes_the_c_order_bytes(self, tmp_path):
+        rows = random_vectors(np.random.default_rng(88), 4, 3).vectors
+        c_path, f_path = tmp_path / "c.json", tmp_path / "f.json"
+        write_vector_set(str(c_path), VectorSet(np.ascontiguousarray(rows)))
+        write_vector_set(str(f_path), VectorSet(np.asfortranarray(rows)))
+        assert f_path.read_bytes() == c_path.read_bytes()
 
     def test_array_branch_matches_nested_lists(self):
         rng = np.random.default_rng(87)
